@@ -1,0 +1,50 @@
+"""Smoke tests of the benchmark itself: every workload at a tiny size.
+
+Run from the root of a checkout:  python3 -m pytest -q perfbench/test_smoke.py
+"""
+
+from __future__ import annotations
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
+def _run(cwd: Path, workload: str, trace: int) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "7",
+         "--seconds", "1", "--trace", str(trace), "--tiny"],
+        cwd=cwd, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
+def test_tiny_run_prints_the_declared_metrics(workload, trace):
+    proc = _run(ROOT, workload, trace)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert set(result) == {"correct", "attempted", "failed", "metrics"}
+    assert result["correct"] is True and result["failed"] == 0
+    assert result["attempted"] >= 1
+    declared = SPEC["per_layer" if trace else "end_to_end"]
+    assert {name: m["unit"] for name, m in result["metrics"].items()} == {
+        m["name"]: m["unit"] for m in declared
+    }
+    assert all(isinstance(m["value"], (int, float)) for m in result["metrics"].values())
+
+
+def test_fails_without_the_program(tmp_path):
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    proc = _run(tmp_path, SPEC["workloads"][0]["name"], 0)
+    assert proc.returncode != 0
+    assert '"metrics"' not in proc.stdout
