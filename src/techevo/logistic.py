@@ -12,6 +12,12 @@ least squares; the candidate minimizing the line's SSE wins.  The search
 runs a geometric grid above the observed maximum and refines every local
 basin the grid reveals by golden-section search.  All logarithms are
 natural.
+
+Only the log-odds side of the line fit depends on k.  The times, values,
+maximum, mean time, centred times and their sum of squares are built once
+per fit; each candidate then costs one log pass plus three exactly-rounded
+sums (mean log-odds, cross-product, residual SSE).  The total sum of
+squares, needed only for r², is computed once, at the winning k.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from dataclasses import dataclass, field
 
 from .errors import KTooSmall, LevelOutOfRange, NotSShaped
 from .series import FmtSeries
-from .stats import line_fit
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -125,18 +130,47 @@ def linearize(series: FmtSeries, k: float) -> tuple[tuple[float, float], ...]:
     return tuple((t, math.log((k - v) / v)) for t, v in series.points)
 
 
-def _sse_for_k(series: FmtSeries, k: float) -> tuple[float, float, float, float]:
-    """(sse, slope, intercept, sst) of the linearized line fit at candidate k.
+class _LineFitContext:
+    """The k-independent parts of the linearized line fit of one series."""
 
-    Candidates not exceeding every observed value are infeasible (infinite
-    SSE) rather than silently dropping the offending points.
-    """
-    if k <= series.max_value:
-        return math.inf, math.nan, math.nan, math.nan
-    ts = series.ts
-    ys = tuple(math.log((k - v) / v) for v in series.values)
-    slope, intercept, sse, sst = line_fit(ts, ys)
-    return sse, slope, intercept, sst
+    __slots__ = ("ts", "values", "vmax", "n", "xbar", "dx", "sxx")
+
+    def __init__(self, series: FmtSeries) -> None:
+        self.ts = series.ts
+        self.values = series.values
+        self.vmax = max(self.values)
+        self.n = len(self.ts)
+        self.xbar = math.fsum(self.ts) / self.n
+        self.dx = [t - self.xbar for t in self.ts]
+        self.sxx = math.fsum(d ** 2 for d in self.dx)
+
+    def log_odds(self, k: float) -> list[float]:
+        log = math.log
+        return [log((k - v) / v) for v in self.values]
+
+    def fit(self, k: float) -> tuple[float, float, float]:
+        """(sse, slope, intercept) of the least-squares line through the
+        log-odds at candidate k.
+
+        Candidates not exceeding every observed value are infeasible (infinite
+        SSE) rather than silently dropping the offending points.
+        """
+        if k <= self.vmax:
+            return math.inf, math.nan, math.nan
+        fsum = math.fsum
+        ys = self.log_odds(k)
+        ybar = fsum(ys) / self.n
+        sxy = fsum(d * (y - ybar) for d, y in zip(self.dx, ys))
+        slope = sxy / self.sxx
+        intercept = ybar - slope * self.xbar
+        sse = fsum((y - (intercept + slope * t)) ** 2 for t, y in zip(self.ts, ys))
+        return sse, slope, intercept
+
+    def sst(self, k: float) -> float:
+        """Total sum of squares of the log-odds at k, the base of r²."""
+        ys = self.log_odds(k)
+        ybar = math.fsum(ys) / self.n
+        return math.fsum((y - ybar) ** 2 for y in ys)
 
 
 def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> LogisticFit:
@@ -152,9 +186,15 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
     minimum is refined by golden-section search, as is the leading
     interval below the grid floor, where a saturation level within
     ``floor_factor`` of the data would otherwise be invisible.
+
+    The series' times, values, maximum, mean time and centred times are
+    extracted once per call; each candidate k then only linearizes and
+    fits the line (see ``_LineFitContext``).  The total sum of squares
+    behind ``r2_linearized`` is computed once, for the winning k.
     """
     cfg = KSearchConfig() if search is None else search
-    vmax = series.max_value
+    ctx = _LineFitContext(series)
+    vmax = ctx.vmax
     k_lo = vmax * cfg.floor_factor
     k_hi = vmax * cfg.factor_max
     ratio = k_hi / k_lo
@@ -162,11 +202,11 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
 
     trace: list[tuple[float, float]] = []
     best_k = math.nan
-    best = (math.inf, math.nan, math.nan, math.nan)
+    best = (math.inf, math.nan, math.nan)
 
     def evaluate(k: float) -> float:
         nonlocal best_k, best
-        res = _sse_for_k(series, k)
+        res = ctx.fit(k)
         if res[0] < best[0]:
             best_k, best = k, res
         return res[0]
@@ -199,7 +239,7 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
         if left_higher and right_higher:
             refine(grid[i - 1] if i > 0 else edge, grid[i + 1] if i < last else k_hi)
 
-    sse, slope, intercept, sst = best
+    sse, slope, intercept = best
     trace.append((best_k, sse))
     b = -slope
     if not b > 0.0:
@@ -207,6 +247,7 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
             f"series {series.name!r}: best linearized slope {slope!r} implies "
             f"non-positive growth rate"
         )
+    sst = ctx.sst(best_k)
     if sst > 0.0:
         r2 = min(1.0, max(0.0, 1.0 - sse / sst))
     else:

@@ -18,26 +18,6 @@ from typing import Sequence
 from .errors import DegenerateX, LengthMismatch, TooFewPoints
 
 
-def line_fit(
-    x: Sequence[float], y: Sequence[float]
-) -> tuple[float, float, float, float]:
-    """Minimal least-squares line fit: (slope, intercept, sse, sst).
-
-    Assumes equal lengths and non-constant x; used as the inner loop of
-    the saturation search, where those preconditions hold by construction.
-    """
-    n = len(x)
-    xbar = math.fsum(x) / n
-    ybar = math.fsum(y) / n
-    sxx = math.fsum((xi - xbar) ** 2 for xi in x)
-    sxy = math.fsum((xi - xbar) * (yi - ybar) for xi, yi in zip(x, y))
-    sst = math.fsum((yi - ybar) ** 2 for yi in y)
-    slope = sxy / sxx
-    intercept = ybar - slope * xbar
-    sse = math.fsum((yi - (intercept + slope * xi)) ** 2 for xi, yi in zip(x, y))
-    return slope, intercept, sse, sst
-
-
 @dataclass(frozen=True)
 class OlsCore:
     """Simple-regression result: coefficients, SEs, t's, fit statistics.

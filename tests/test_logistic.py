@@ -1,4 +1,8 @@
 
+import importlib.util
+import math
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -12,6 +16,7 @@ from techevo import (
     fit_logistic,
     linearize,
     logistic_value,
+    ols_simple,
     solve_time,
 )
 from techevo.errors import KTooSmall, LevelOutOfRange, NotSShaped
@@ -47,7 +52,11 @@ class TestLogisticValue:
     @given(params_st, st.floats(-50, 50), st.floats(1e-6, 10))
     def test_strictly_increasing(self, p, t, dt):
         # Stay clear of the regimes where the curve rounds flat in floats.
-        assume(p.a - p.b * (t + dt) > -30.0)
+        # Near saturation the step shrinks to about k * exp(a - b*t) * b*dt,
+        # which must stay well above the spacing of doubles near k.
+        x_end = p.a - p.b * (t + dt)
+        assume(x_end > -30.0)
+        assume(x_end > 0.0 or math.exp(x_end) * p.b * dt > 2.0 ** -44)
         assume(p.a - p.b * t < 700.0)
         assert logistic_value(p, t + dt) > logistic_value(p, t)
 
@@ -188,3 +197,44 @@ class TestFitLogistic:
 
     def test_inflection_time(self):
         assert LogisticParams(4, 0.3, 100).inflection_time == pytest.approx(4 / 0.3)
+
+
+def _load_fit_battery():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "fit_battery.py"
+    spec = importlib.util.spec_from_file_location("fit_battery", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+fit_battery = _load_fit_battery()
+
+# Recorded with scripts/fit_battery.py; any change to a fitted bit, a
+# search trace or a raised error type changes it.
+BATTERY_DIGEST = "004e1bf1fbb0eb29e0ecb00074648f829fc457ecdc35cf9a08164a7e1d6cbfe9"
+
+
+@pytest.fixture(scope="module")
+def battery():
+    series = fit_battery.battery_series()
+    return series, [fit_battery.fit_outcome(s) for s in series]
+
+
+class TestFitBattery:
+    def test_digest_pinned(self, battery):
+        _, outcomes = battery
+        assert fit_battery.battery_digest(outcomes) == BATTERY_DIGEST
+
+    def test_search_kernel_matches_ols_simple(self, battery):
+        # The k search's line fit and ols_simple share their coefficient
+        # expressions, so a and b agree exactly; SSE (pow vs product) and
+        # r² (whose SST the search forms only at the winning k) to 1e-12.
+        fitted = [(s, o) for s, o in zip(*battery) if not isinstance(o, str)]
+        assert len(fitted) > 150
+        for s, fit in fitted:
+            rows = linearize(s, fit.params.k)
+            core = ols_simple([t for t, _ in rows], [y for _, y in rows])
+            assert core.slope == -fit.params.b
+            assert core.intercept == fit.params.a
+            assert rel_err(core.sse, fit.sse_linearized) <= 1e-12
+            assert rel_err(core.r2, fit.r2_linearized) <= 1e-12
