@@ -4,7 +4,7 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rel_err, sample_series
@@ -50,13 +50,16 @@ class TestLogisticValue:
 
     @settings(deadline=None, max_examples=60)
     @given(params_st, st.floats(-50, 50), st.floats(1e-6, 10))
+    # Rounds flat: 1 + exp(x) moves by about 3.5e-17, under half an ulp of 1.
+    @example(LogisticParams(0.0, 2.5, 1.0), 10.0, 1e-6)
     def test_strictly_increasing(self, p, t, dt):
         # Stay clear of the regimes where the curve rounds flat in floats.
-        # Near saturation the step shrinks to about k * exp(a - b*t) * b*dt,
-        # which must stay well above the spacing of doubles near k.
+        # Near saturation the curve is k / (1 + exp(x)); the step in
+        # 1 + exp(x), at least exp(x_end) * b*dt, must span a few (here 4)
+        # ulps of 1, or both ends can round to the same float.
         x_end = p.a - p.b * (t + dt)
         assume(x_end > -30.0)
-        assume(x_end > 0.0 or math.exp(x_end) * p.b * dt > 2.0 ** -44)
+        assume(x_end > 0.0 or math.exp(x_end) * p.b * dt > 2.0 ** -50)
         assume(p.a - p.b * t < 700.0)
         assert logistic_value(p, t + dt) > logistic_value(p, t)
 
