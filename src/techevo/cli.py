@@ -13,7 +13,7 @@ Exit codes
 2   usage error (argparse)
 10  input/parse error (bad CSV, missing file)
 11  alignment error (too few shared timestamps)
-12  fitting error (not S-shaped, saturation violations)
+12  fitting error (not S-shaped, saturation violations, arithmetic overflow)
 13  estimation error (degenerate regressor)
 14  configuration error (bad alpha)
 1   unexpected internal error
@@ -44,7 +44,7 @@ from .report import (
     report_to_json,
     run_pipeline,
 )
-from .series import parse_fmt_csv, serialize_fmt_csv
+from .series import FmtSeries, parse_fmt_csv, serialize_fmt_csv
 from .synthetic import SyntheticSpec, generate_pair
 
 EXIT_OK = 0
@@ -69,15 +69,16 @@ def _fail(exc: BaseException, code: int) -> int:
     return code
 
 
-def _k_search(factor: float) -> KSearchConfig:
-    return KSearchConfig(factor_max=factor)
+def _read_series(path: str, name: str | None = None) -> FmtSeries:
+    """Read and parse one CSV; the series is named after the file stem
+    unless ``name`` is given."""
+    p = Path(path)
+    return parse_fmt_csv(p.read_text(encoding="utf-8"), name or p.stem)
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    path = Path(args.csv)
-    name = args.name or path.stem
-    series = parse_fmt_csv(path.read_text(encoding="utf-8"), name)
-    fit = fit_logistic(series, _k_search(args.k_search_factor))
+    series = _read_series(args.csv, args.name)
+    fit = fit_logistic(series, KSearchConfig(factor_max=args.k_search_factor))
     payload = {
         "series": {"name": series.name, "n": len(series)},
         "fit": {
@@ -102,10 +103,14 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _emit_report(args: argparse.Namespace, with_logistic: bool) -> int:
     config = PipelineConfig(
         alpha=args.alpha,
-        k_search=_k_search(args.k_search_factor),
+        k_search=KSearchConfig(factor_max=args.k_search_factor),
         with_logistic=with_logistic,
     )
-    report = run_pipeline(args.host, args.sub, config)
+    host = _read_series(args.host)
+    sub = _read_series(args.sub)
+    report = run_pipeline(
+        host, sub, config, host_file=Path(args.host).name, sub_file=Path(args.sub).name
+    )
     text = report_to_json(report) if args.format == "json" else emit_table(report)
     out = getattr(args, "out", None)
     if out:
@@ -118,15 +123,14 @@ def _emit_report(args: argparse.Namespace, with_logistic: bool) -> int:
         directory = Path(plot_dir)
         directory.mkdir(parents=True, exist_ok=True)
         pairs = (
-            ("host", args.host, report.logistic_host),
-            ("sub", args.sub, report.logistic_sub),
+            ("host", host, report.logistic_host),
+            ("sub", sub, report.logistic_sub),
         )
-        for label, csv_path, fit in pairs:
-            p = Path(csv_path)
-            series = parse_fmt_csv(p.read_text(encoding="utf-8"), p.stem)
+        for label, series, fit in pairs:
             plot = emit_plot_data(series, None if fit is None else fit.params)
             (directory / f"{label}.csv").write_text(plot.csv, encoding="utf-8")
             (directory / f"{label}.svg").write_text(plot.svg, encoding="utf-8")
+            del plot  # free this plot's text before the next one is built
     return EXIT_OK
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import KTooSmall, LevelOutOfRange, NotSShaped
+from .errors import FittingError, KTooSmall, LevelOutOfRange, NotSShaped
 from .series import FmtSeries
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -52,33 +52,34 @@ class LogisticParams:
         return self.a / self.b
 
 
+#: Geometric grid candidates over (max * _FLOOR_FACTOR, max * factor_max].
+_N_GRID = 64
+#: Grid floor as a multiple of the observed maximum.
+_FLOOR_FACTOR = 1.001
+#: Golden-section refinement stops below this relative bracket width.
+_REL_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class KSearchConfig:
-    """Search domain and stopping rule for the saturation-level search.
+    """Upper bound of the saturation-level search.
 
-    The grid has ``n_grid`` geometric candidates over
-    ``(max_value * floor_factor, max_value * factor_max]``; each traced
+    The grid has ``_N_GRID`` geometric candidates over
+    ``(max_value * _FLOOR_FACTOR, max_value * factor_max]``; each traced
     local minimum is refined by golden-section search until the bracket's
-    relative width drops below ``rel_tol``.  The interval between the
+    relative width drops below ``_REL_TOL``.  The interval between the
     observed maximum and the grid floor is always refined too, so a true
-    saturation level closer than ``floor_factor`` to the data is still
+    saturation level closer than ``_FLOOR_FACTOR`` to the data is still
     reachable.
     """
 
     factor_max: float = 10.0
-    n_grid: int = 64
-    floor_factor: float = 1.001
-    rel_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.factor_max <= 1.0:
-            raise ValueError(f"factor_max must exceed 1, got {self.factor_max!r}")
-        if self.n_grid < 2:
-            raise ValueError(f"n_grid must be >= 2, got {self.n_grid!r}")
-        if not 1.0 < self.floor_factor < self.factor_max:
-            raise ValueError("floor_factor must lie in (1, factor_max)")
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be positive")
+        if not self.factor_max > _FLOOR_FACTOR:
+            raise ValueError(
+                f"factor_max must exceed {_FLOOR_FACTOR}, got {self.factor_max!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -185,17 +186,25 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
     grid therefore only locates candidate basins; each traced local
     minimum is refined by golden-section search, as is the leading
     interval below the grid floor, where a saturation level within
-    ``floor_factor`` of the data would otherwise be invisible.
+    ``_FLOOR_FACTOR`` of the data would otherwise be invisible.
 
     The series' times, values, maximum, mean time and centred times are
     extracted once per call; each candidate k then only linearizes and
     fits the line (see ``_LineFitContext``).  The total sum of squares
-    behind ``r2_linearized`` is computed once, for the winning k.
+    behind ``r2_linearized`` is computed once, for the winning k.  Times so
+    large that those sums overflow (about 1e154 and beyond) raise
+    ``FittingError``.
     """
     cfg = KSearchConfig() if search is None else search
-    ctx = _LineFitContext(series)
+    try:
+        ctx = _LineFitContext(series)
+    except OverflowError as exc:
+        raise FittingError(
+            f"series {series.name!r}: times too large for the line fit "
+            "(arithmetic overflow)"
+        ) from exc
     vmax = ctx.vmax
-    k_lo = vmax * cfg.floor_factor
+    k_lo = vmax * _FLOOR_FACTOR
     k_hi = vmax * cfg.factor_max
     ratio = k_hi / k_lo
     edge = math.nextafter(vmax, math.inf)
@@ -211,7 +220,7 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
             best_k, best = k, res
         return res[0]
 
-    grid = [k_lo * ratio ** (i / cfg.n_grid) for i in range(1, cfg.n_grid + 1)]
+    grid = [k_lo * ratio ** (i / _N_GRID) for i in range(1, _N_GRID + 1)]
     for k in grid:
         trace.append((k, evaluate(k)))
     sses = [s for _, s in trace]
@@ -222,7 +231,7 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
         d = lo + _INV_PHI * (hi - lo)
         fc = evaluate(c)
         fd = evaluate(d)
-        while hi - lo > cfg.rel_tol * hi:
+        while hi - lo > _REL_TOL * hi:
             if fc <= fd:
                 hi, d, fd = d, c, fc
                 c = hi - _INV_PHI * (hi - lo)

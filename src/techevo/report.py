@@ -1,6 +1,6 @@
 """Analysis reports: the full pipeline plus deterministic emission.
 
-``run_pipeline`` ingests two CSVs, optionally fits each series' S-curve,
+``run_pipeline`` aligns two series, optionally fits each series' S-curve,
 estimates the evolutionary coefficient and classifies the pathway.  The
 report serializes to JSON with floats at 12 significant digits (stable
 across platforms) and carries a SHA-256 digest over every field except
@@ -16,7 +16,6 @@ import datetime as _dt
 import hashlib
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from . import __version__
 from .coevolution import EvolutionFit, estimate_evolution
@@ -28,7 +27,7 @@ from .logistic import (
     logistic_value,
 )
 from .pathway import PathwayClass, classify_pathway
-from .series import FmtSeries, align, parse_fmt_csv
+from .series import FmtSeries, align
 from .stats import _t_ratio, t_two_sided_p
 
 SCHEMA_VERSION = 1
@@ -83,20 +82,22 @@ def _utc_now() -> str:
 
 
 def run_pipeline(
-    host_csv: str | Path,
-    sub_csv: str | Path,
+    host: FmtSeries,
+    sub: FmtSeries,
     config: PipelineConfig | None = None,
+    *,
+    host_file: str,
+    sub_file: str,
 ) -> AnalysisReport:
-    """Read, align, (optionally) fit, estimate and classify.
+    """Align, (optionally) fit, estimate and classify two series.
 
-    Errors from any stage propagate unchanged; the CLI maps them onto its
-    exit-code contract.
+    Reads and writes no file.  ``host_file`` and ``sub_file`` are the
+    names the report records for its inputs; pass file names, not paths,
+    so reports and digests stay identical across checkouts and working
+    directories.  Errors from any stage propagate unchanged; the CLI maps
+    them onto its exit-code contract.
     """
     cfg = PipelineConfig() if config is None else config
-    host_path = Path(host_csv)
-    sub_path = Path(sub_csv)
-    host = parse_fmt_csv(host_path.read_text(encoding="utf-8"), host_path.stem)
-    sub = parse_fmt_csv(sub_path.read_text(encoding="utf-8"), sub_path.stem)
     pair = align(host, sub)
 
     fit_host = fit_sub = None
@@ -107,11 +108,9 @@ def run_pipeline(
     evolution = estimate_evolution(pair)
     pathway = classify_pathway(evolution, cfg.alpha)
 
-    # File names only (not paths): reports and digests stay identical
-    # across checkouts and working directories.
     inputs = ReportInputs(
-        host_file=host_path.name,
-        sub_file=sub_path.name,
+        host_file=host_file,
+        sub_file=sub_file,
         host_name=host.name,
         sub_name=sub.name,
         host_unit=host.unit,
@@ -389,15 +388,11 @@ def emit_plot_data(series: FmtSeries, params: LogisticParams | None = None) -> P
     if params is not None:
         fitted = [logistic_value(params, t) for t in ts]
 
-    if fitted is None:
-        csv_lines = ["t,observed"]
-        csv_lines.extend(f"{t!r},{v!r}" for t, v in zip(ts, obs))
-    else:
-        csv_lines = ["t,observed,fitted"]
-        csv_lines.extend(
-            f"{t!r},{v!r},{f!r}" for t, v, f in zip(ts, obs, fitted)
-        )
-    csv_text = "\n".join(csv_lines) + "\n"
+    columns = (ts, obs) if fitted is None else (ts, obs, fitted)
+    header = "t,observed" if fitted is None else "t,observed,fitted"
+    csv_text = header + "\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in zip(*columns)
+    )
 
     t0, t1 = ts[0], ts[-1]
     y_high = max(obs) if fitted is None else max(max(obs), max(fitted))

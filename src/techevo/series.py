@@ -13,7 +13,7 @@ line, LF or CRLF endings, dot decimal separator, no thousands separators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     DuplicateTimestamp,
@@ -34,7 +34,10 @@ class FmtSeries:
     """One technology's FMT trace.
 
     Points are (t, value) pairs, strictly increasing in t, every value
-    positive.  Instances are immutable and safe to share across tasks.
+    positive.  Construction sorts the points and is the one place a series
+    is validated: finite positive values, then unique timestamps, then at
+    least ``MIN_POINTS`` points.  Instances are immutable and safe to share
+    across tasks.
     """
 
     name: str
@@ -45,10 +48,6 @@ class FmtSeries:
         pts = tuple((float(t), float(v)) for t, v in self.points)
         pts = tuple(sorted(pts, key=lambda p: p[0]))
         object.__setattr__(self, "points", pts)
-        if len(pts) < MIN_POINTS:
-            raise TooFewPoints(
-                f"series {self.name!r} has {len(pts)} points; need >= {MIN_POINTS}"
-            )
         for t, v in pts:
             if not (math.isfinite(t) and math.isfinite(v)):
                 raise NonPositiveValue(
@@ -63,6 +62,10 @@ class FmtSeries:
                 raise DuplicateTimestamp(
                     f"series {self.name!r}: duplicate timestamp t={t0!r}"
                 )
+        if len(pts) < MIN_POINTS:
+            raise TooFewPoints(
+                f"series {self.name!r} has {len(pts)} points; need >= {MIN_POINTS}"
+            )
 
     def __len__(self) -> int:
         return len(self.points)
@@ -102,28 +105,26 @@ class FmtSeries:
 class AlignedPair:
     """A host series H and a subsystem series P joined on shared timestamps.
 
-    ``rows`` holds (t, h_value, p_value) for exactly the timestamps present
-    in both inputs, in increasing t order.
+    ``rows`` is derived, not passed: it holds (t, h_value, p_value) for
+    exactly the timestamps present in both inputs with bit-identical float
+    value, in increasing t order.  No interpolation.
     """
 
     host: FmtSeries
     sub: FmtSeries
-    rows: tuple[tuple[float, float, float], ...]
+    rows: tuple[tuple[float, float, float], ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        rows = tuple((float(t), float(h), float(p)) for t, h, p in self.rows)
-        object.__setattr__(self, "rows", rows)
+        sub_by_t = dict(self.sub.points)
+        rows = tuple(
+            (t, h, sub_by_t[t]) for t, h in self.host.points if t in sub_by_t
+        )
         if len(rows) < MIN_POINTS:
             raise InsufficientOverlap(
                 f"{len(rows)} common timestamps between {self.host.name!r} "
                 f"and {self.sub.name!r}; need >= {MIN_POINTS}"
             )
-        common = set(self.host.ts) & set(self.sub.ts)
-        if {t for t, _, _ in rows} != common:
-            raise ValueError("rows do not match the timestamp intersection")
-        for (t0, _, _), (t1, _, _) in zip(rows, rows[1:]):
-            if t0 >= t1:
-                raise ValueError("rows must be strictly increasing in t")
+        object.__setattr__(self, "rows", rows)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -142,10 +143,12 @@ class AlignedPair:
 
 
 def parse_fmt_csv(raw_text: str, series_name: str, unit: str = "") -> FmtSeries:
-    """Parse ``t,value`` CSV text into a validated FmtSeries.
+    """Parse ``t,value`` CSV text into an FmtSeries, sorted and validated by
+    ``FmtSeries``.
 
-    Rows are sorted by t.  Line numbers in error messages are 1-based and
-    refer to the raw text.
+    Parsing checks only the text itself: the header, the field count and
+    that both fields are finite numbers.  Line numbers in those error
+    messages are 1-based and refer to the raw text.
     """
     lines = raw_text.splitlines()
     while lines and not lines[-1].strip():
@@ -173,20 +176,7 @@ def parse_fmt_csv(raw_text: str, series_name: str, unit: str = "") -> FmtSeries:
             raise MalformedRow(f"line {lineno}: {stripped!r} is not a pair of numbers")
         if not (math.isfinite(t) and math.isfinite(v)):
             raise MalformedRow(f"line {lineno}: {stripped!r} contains a non-finite number")
-        if v <= 0.0:
-            raise NonPositiveValue(
-                f"line {lineno}: value {fields[1].strip()!r} is not positive"
-            )
         points.append((t, v))
-
-    points.sort(key=lambda p: p[0])
-    for (t0, _), (t1, _) in zip(points, points[1:]):
-        if t0 == t1:
-            raise DuplicateTimestamp(f"duplicate timestamp t={t0!r}")
-    if len(points) < MIN_POINTS:
-        raise TooFewPoints(
-            f"series {series_name!r} has {len(points)} data rows; need >= {MIN_POINTS}"
-        )
     return FmtSeries(name=series_name, points=tuple(points), unit=unit)
 
 
@@ -202,18 +192,5 @@ def serialize_fmt_csv(series: FmtSeries) -> str:
 
 
 def align(host: FmtSeries, sub: FmtSeries) -> AlignedPair:
-    """Join two series on exactly-equal timestamps.
-
-    No interpolation: a timestamp contributes a row only when it occurs in
-    both inputs with bit-identical float value.
-    """
-    sub_by_t = dict(sub.points)
-    rows = tuple(
-        (t, h, sub_by_t[t]) for t, h in host.points if t in sub_by_t
-    )
-    if len(rows) < MIN_POINTS:
-        raise InsufficientOverlap(
-            f"{len(rows)} common timestamps between {host.name!r} and "
-            f"{sub.name!r}; need >= {MIN_POINTS}"
-        )
-    return AlignedPair(host=host, sub=sub, rows=rows)
+    """Join two series on exactly-equal timestamps (see ``AlignedPair``)."""
+    return AlignedPair(host, sub)

@@ -122,8 +122,7 @@ def generate_pair(spec: SyntheticSpec) -> AlignedPair:
         points=tuple(zip(ts, sub_vals)),
         unit="synthetic",
     )
-    rows = tuple(zip(ts, host_vals, sub_vals))
-    return AlignedPair(host=host, sub=sub, rows=rows)
+    return AlignedPair(host=host, sub=sub)
 
 
 def early_phase_pair(spec: SyntheticSpec, cap_fraction: float) -> AlignedPair:
@@ -155,4 +154,4 @@ def early_phase_pair(spec: SyntheticSpec, cap_fraction: float) -> AlignedPair:
         points=tuple((t, p) for t, _, p in rows),
         unit=full.sub.unit,
     )
-    return AlignedPair(host=host, sub=sub, rows=rows)
+    return AlignedPair(host=host, sub=sub)

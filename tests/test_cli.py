@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +92,24 @@ class TestHappyPaths:
         for name in ("host.csv", "host.svg", "sub.csv", "sub.svg"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
+    def test_report_plot_reads_each_input_once(self, tmp_path, monkeypatch):
+        reads = []
+        read_text = Path.read_text
+
+        def counting(self, *args, **kwargs):
+            reads.append(self.name)
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting)
+        code = main(
+            [
+                "report", "--host", SYNTH[0], "--sub", SYNTH[1],
+                "--out", str(tmp_path / "r.json"), "--plot", str(tmp_path / "p"),
+            ]
+        )
+        assert code == EXIT_OK
+        assert reads == ["synth_host.csv", "synth_sub.csv"]
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -123,6 +142,13 @@ class TestExitCodes:
         code = main(["report", "--host", down, "--sub", up])
         assert code == EXIT_FITTING
         assert "NotSShaped" in capsys.readouterr().err
+
+    def test_overflowing_times_are_a_fitting_error(self, tmp_path, capsys):
+        huge = write_csv(tmp_path / "huge.csv", ["-1e300,1", "0,2", "1e300,3"])
+        for args in (["fit", huge], ["report", "--host", huge, "--sub", huge]):
+            assert main(args) == EXIT_FITTING
+            assert "FittingError" in capsys.readouterr().err
+        assert main(["evolve", "--host", huge, "--sub", huge]) == EXIT_OK
 
     def test_estimation_error(self, tmp_path, capsys):
         const = write_csv(tmp_path / "const.csv", ["0,5", "1,5", "2,5"])

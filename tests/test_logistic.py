@@ -184,11 +184,9 @@ class TestFitLogistic:
         with pytest.raises(ValueError):
             KSearchConfig(factor_max=1.0)
         with pytest.raises(ValueError):
-            KSearchConfig(n_grid=1)
+            KSearchConfig(factor_max=1.001)  # must lie above the grid floor
         with pytest.raises(ValueError):
-            KSearchConfig(floor_factor=0.99)
-        with pytest.raises(ValueError):
-            KSearchConfig(rel_tol=0.0)
+            KSearchConfig(factor_max=float("nan"))
 
     def test_wider_search_reaches_distant_saturation(self):
         truth = LogisticParams(0, 0.8, 1000)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,22 +10,36 @@ from techevo import (
     PipelineConfig,
     Provenance,
     ReportInputs,
+    SyntheticSpec,
     classify_pathway,
     determinism_digest,
     emit_plot_data,
     emit_table,
     evolution_fit_from_summary,
+    generate_pair,
     report_from_json,
     report_to_dict,
     report_to_json,
     run_pipeline,
     significance_stars,
 )
+from techevo.cli import _read_series
 
 POWER_HOST = FIXTURES / "power_host.csv"
 POWER_SUB = FIXTURES / "power_sub.csv"
 SYNTH_HOST = FIXTURES / "synth_host.csv"
 SYNTH_SUB = FIXTURES / "synth_sub.csv"
+
+
+def run_files(host_csv, sub_csv, config=None):
+    """The pipeline on two CSV files, read the way the CLI reads them."""
+    return run_pipeline(
+        _read_series(host_csv),
+        _read_series(sub_csv),
+        config,
+        host_file=Path(host_csv).name,
+        sub_file=Path(sub_csv).name,
+    )
 
 
 def stub_report(fit, alpha=0.01):
@@ -54,7 +69,7 @@ def stub_report(fit, alpha=0.01):
 
 class TestRunPipeline:
     def test_power_law_fixture(self):
-        report = run_pipeline(POWER_HOST, POWER_SUB)
+        report = run_files(POWER_HOST, POWER_SUB)
         assert report.evolution.b == pytest.approx(0.5, abs=1e-12)
         assert report.evolution.a == pytest.approx(2.0, rel=1e-12)
         assert report.pathway.label == "Underdevelopment"
@@ -62,25 +77,49 @@ class TestRunPipeline:
 
     def test_missing_file_names_path(self):
         with pytest.raises(OSError, match="nope.csv"):
-            run_pipeline(FIXTURES / "nope.csv", POWER_SUB)
+            run_files(FIXTURES / "nope.csv", POWER_SUB)
 
     def test_no_logistic_config(self):
-        report = run_pipeline(
+        report = run_files(
             POWER_HOST, POWER_SUB, PipelineConfig(with_logistic=False)
         )
         assert report.logistic_host is None
         assert report_to_dict(report)["logistic_fits"] is None
 
     def test_logistic_fits_present_by_default(self):
-        report = run_pipeline(SYNTH_HOST, SYNTH_SUB)
+        report = run_files(SYNTH_HOST, SYNTH_SUB)
         assert report.logistic_host is not None
         assert rel_err(report.logistic_host.params.k, 100.0) < 1e-4
+
+    def test_in_memory_series_touch_no_file(self, monkeypatch):
+        def no_io(*args, **kwargs):
+            raise AssertionError("run_pipeline touched a file")
+
+        monkeypatch.setattr(Path, "read_text", no_io)
+        monkeypatch.setattr(Path, "write_text", no_io)
+        monkeypatch.setattr("builtins.open", no_io)
+        spec = SyntheticSpec(
+            host_params=LogisticParams(4.0, 0.3, 100.0),
+            sub_params=LogisticParams(3.0, 0.2, 50.0),
+            t_start=0.0,
+            t_end=40.0,
+            n_points=21,
+        )
+        pair = generate_pair(spec)
+        report = run_pipeline(
+            pair.host, pair.sub, host_file="h.csv", sub_file="s.csv"
+        )
+        assert report.inputs.host_file == "h.csv"
+        assert report.inputs.sub_file == "s.csv"
+        assert report.inputs.n_aligned == 21
+        assert rel_err(report.logistic_host.params.k, 100.0) < 1e-6
+        assert report.pathway.label == "Underdevelopment"
 
 
 class TestSerialization:
     def test_digest_stable_and_timestamp_free(self):
-        r1 = run_pipeline(SYNTH_HOST, SYNTH_SUB)
-        r2 = run_pipeline(SYNTH_HOST, SYNTH_SUB)
+        r1 = run_files(SYNTH_HOST, SYNTH_SUB)
+        r2 = run_files(SYNTH_HOST, SYNTH_SUB)
         assert r1.provenance.timestamp is not None
         assert determinism_digest(r1) == determinism_digest(r2)
         d = report_to_dict(r1)
@@ -88,24 +127,24 @@ class TestSerialization:
         assert determinism_digest(d) == determinism_digest(r1)
 
     def test_json_round_trip_idempotent(self):
-        report = run_pipeline(SYNTH_HOST, SYNTH_SUB)
+        report = run_files(SYNTH_HOST, SYNTH_SUB)
         text = report_to_json(report)
         again = report_to_json(report_from_json(text))
         assert again == text
 
     def test_embedded_digest_matches(self):
-        report = run_pipeline(SYNTH_HOST, SYNTH_SUB)
+        report = run_files(SYNTH_HOST, SYNTH_SUB)
         d = json.loads(report_to_json(report))
         assert d["digest"] == determinism_digest(d)
 
     def test_floats_quantized_to_12_digits(self):
-        report = run_pipeline(SYNTH_HOST, SYNTH_SUB)
+        report = run_files(SYNTH_HOST, SYNTH_SUB)
         d = json.loads(report_to_json(report))
         b = d["evolution"]["b"]
         assert b == float(format(b, ".12g"))
 
     def test_round_trip_preserves_fields(self):
-        report = run_pipeline(SYNTH_HOST, SYNTH_SUB)
+        report = run_files(SYNTH_HOST, SYNTH_SUB)
         back = report_from_json(report_to_json(report))
         assert back.pathway.label == report.pathway.label
         assert back.evolution.n == report.evolution.n
