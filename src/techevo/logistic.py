@@ -10,8 +10,9 @@ Fitting strategy: k is not observable, so it is searched.  For each
 candidate k the series is linearized and a straight line is fitted by
 least squares; the candidate minimizing the line's SSE wins.  The search
 runs a geometric grid above the observed maximum and refines every local
-basin the grid reveals by golden-section search.  All logarithms are
-natural.
+basin the grid reveals by Brent's method (parabolic steps with a
+golden-section fallback), seeded with the grid's own SSEs.  All
+logarithms are natural.
 
 Only the log-odds side of the line fit depends on k.  The times, values,
 maximum, mean time, centred times and their sum of squares are built once
@@ -23,12 +24,14 @@ squares, needed only for r², is computed once, at the winning k.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .errors import FittingError, KTooSmall, LevelOutOfRange, NotSShaped
 from .series import FmtSeries
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: Golden-section fraction 2 - phi of Brent's fallback step.
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,8 @@ class LogisticParams:
 _N_GRID = 64
 #: Grid floor as a multiple of the observed maximum.
 _FLOOR_FACTOR = 1.001
-#: Golden-section refinement stops below this relative bracket width.
+#: Brent refinement stops once its bracket is no wider than this multiple
+#: of the best candidate in it.
 _REL_TOL = 1e-9
 
 
@@ -65,12 +69,14 @@ class KSearchConfig:
     """Upper bound of the saturation-level search.
 
     The grid has ``_N_GRID`` geometric candidates over
-    ``(max_value * _FLOOR_FACTOR, max_value * factor_max]``; each traced
-    local minimum is refined by golden-section search until the bracket's
-    relative width drops below ``_REL_TOL``.  The interval between the
-    observed maximum and the grid floor is always refined too, so a true
-    saturation level closer than ``_FLOOR_FACTOR`` to the data is still
-    reachable.
+    ``(max_value * _FLOOR_FACTOR, max_value * factor_max]``, the last one
+    exactly ``max_value * factor_max``; each traced local minimum below
+    that ceiling is refined by Brent's method until the bracket is no wider
+    than ``_REL_TOL`` times the best candidate.  A minimum at the ceiling
+    itself is not refined: nothing above it is searched, so it brackets no
+    interior minimum.  The interval between the observed maximum and the
+    grid floor is always refined too, so a true saturation level closer
+    than ``_FLOOR_FACTOR`` to the data is still reachable.
     """
 
     factor_max: float = 10.0
@@ -87,13 +93,15 @@ class LogisticFit:
     """Fitted parameters plus linearized-regression diagnostics.
 
     ``k_search_trace`` records (k candidate, SSE) for every grid candidate
-    and, last, the refined optimum actually returned.
+    and, last, the refined optimum actually returned.  ``sse_evals`` counts
+    the candidates whose line fit the search computed, grid included.
     """
 
     params: LogisticParams
     sse_linearized: float
     r2_linearized: float
     k_search_trace: tuple[tuple[float, float], ...] = field(repr=False)
+    sse_evals: int = field(repr=False)
 
 
 def logistic_value(params: LogisticParams, t: float) -> float:
@@ -174,6 +182,85 @@ class _LineFitContext:
         return math.fsum((y - ybar) ** 2 for y in ys)
 
 
+def _brent(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    best: tuple[float, float],
+    second: tuple[float, float],
+    third: tuple[float, float],
+) -> None:
+    """Narrow a minimum of ``f`` bracketed by (lo, hi) with Brent's method.
+
+    ``best``, ``second`` and ``third`` are (k, f(k)) points already
+    evaluated, best first; ``best`` lies strictly inside the bracket.  The
+    parabola through them is tried before any golden-section step, so three
+    distinct points make the first step parabolic.  Stops once ``best`` is
+    within ``_REL_TOL / 2`` of its own k from both bracket ends, so the
+    final bracket is no wider than ``_REL_TOL`` times it.  Steps are at
+    least ``_REL_TOL / 4`` of k and at least one ulp, so every evaluation
+    narrows the bracket and the loop ends even for subnormal k.  The caller
+    keeps the best point through ``f``.
+
+    On stopping, the vertex of the parabola through the three best points
+    is evaluated once more if it lies inside the bracket.  Where k is close
+    to the data's maximum the SSE is so steep that the bracket's last
+    ``_REL_TOL`` still spans orders of magnitude of SSE; that one step lands
+    on the bottom of the locally quadratic SSE.
+    """
+    (x, fx), (w, fw), (v, fv) = best, second, third
+    # Stand-ins for the last two steps, wide enough to admit a parabola.
+    d = e = hi - lo
+    while True:
+        m = 0.5 * (lo + hi)
+        tol1 = max(_REL_TOL / 4.0 * x, math.ulp(x))
+        tol2 = 2.0 * tol1
+        # The parabola through x, w and v has its vertex at x + p / q.
+        r = (x - w) * (fx - fv)
+        q = (x - v) * (fx - fw)
+        p = (x - v) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        if q > 0.0:
+            p = -p
+        q = abs(q)
+        # Negated so that a non-finite bracket (k overflowed) stops as well.
+        if not abs(x - m) > tol2 - 0.5 * (hi - lo):
+            if q > 0.0:
+                u = x + p / q
+                if lo < u < hi and u != x:
+                    f(u)
+            return
+        parabolic = False
+        if abs(e) > tol1:
+            e_prev, e = e, d
+            if abs(p) < abs(0.5 * q * e_prev) and q * (lo - x) < p < q * (hi - x):
+                d = p / q
+                u = x + d
+                if u - lo < tol2 or hi - u < tol2:
+                    d = math.copysign(tol1, m - x)
+                parabolic = True
+        if not parabolic:
+            e = (lo if x >= m else hi) - x
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = f(u)
+        if fu <= fx:
+            if u >= x:
+                lo = x
+            else:
+                hi = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                lo = u
+            else:
+                hi = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
 def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> LogisticFit:
     """Fit (a, b, k) to a series by linearized least squares with k-search.
 
@@ -184,9 +271,17 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
     above the observed maximum, dips at the physical saturation level,
     and decays toward a plateau as k grows (the exponential limit).  The
     grid therefore only locates candidate basins; each traced local
-    minimum is refined by golden-section search, as is the leading
-    interval below the grid floor, where a saturation level within
-    ``_FLOOR_FACTOR`` of the data would otherwise be invisible.
+    minimum is refined by Brent's method, as is the leading interval
+    below the grid floor, where a saturation level within
+    ``_FLOOR_FACTOR`` of the data would otherwise be invisible.  An
+    interior grid minimum starts Brent from the three grid candidates
+    around it, whose SSEs the grid already holds, so its first step is
+    parabolic; the first grid candidate starts from itself and its right
+    neighbour; the floor interval starts from its golden-section point.
+    A minimum at the last grid candidate, the ceiling ``max * factor_max``,
+    is not refined: it brackets no interior minimum, and the ceiling
+    itself has been evaluated exactly.  The best candidate ever evaluated
+    is returned.
 
     The series' times, values, maximum, mean time and centred times are
     extracted once per call; each candidate k then only linearizes and
@@ -209,44 +304,36 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
     ratio = k_hi / k_lo
     edge = math.nextafter(vmax, math.inf)
 
-    trace: list[tuple[float, float]] = []
     best_k = math.nan
     best = (math.inf, math.nan, math.nan)
+    evals = 0
 
     def evaluate(k: float) -> float:
-        nonlocal best_k, best
+        nonlocal best_k, best, evals
+        evals += 1
         res = ctx.fit(k)
         if res[0] < best[0]:
             best_k, best = k, res
         return res[0]
 
-    grid = [k_lo * ratio ** (i / _N_GRID) for i in range(1, _N_GRID + 1)]
-    for k in grid:
-        trace.append((k, evaluate(k)))
-    sses = [s for _, s in trace]
-    last = len(grid) - 1
+    grid = [k_lo * ratio ** (i / _N_GRID) for i in range(1, _N_GRID)]
+    grid.append(k_hi)
+    sses = [evaluate(k) for k in grid]
+    trace = list(zip(grid, sses))
 
-    def refine(lo: float, hi: float) -> None:
-        c = hi - _INV_PHI * (hi - lo)
-        d = lo + _INV_PHI * (hi - lo)
-        fc = evaluate(c)
-        fd = evaluate(d)
-        while hi - lo > _REL_TOL * hi:
-            if fc <= fd:
-                hi, d, fd = d, c, fc
-                c = hi - _INV_PHI * (hi - lo)
-                fc = evaluate(c)
-            else:
-                lo, c, fc = c, d, fd
-                d = lo + _INV_PHI * (hi - lo)
-                fd = evaluate(d)
-
-    refine(edge, grid[0])
-    for i in range(len(grid)):
-        left_higher = i == 0 or sses[i - 1] >= sses[i]
-        right_higher = i == last or sses[i + 1] >= sses[i]
-        if left_higher and right_higher:
-            refine(grid[i - 1] if i > 0 else edge, grid[i + 1] if i < last else k_hi)
+    golden = edge + _CGOLD * (grid[0] - edge)
+    floor_point = (golden, evaluate(golden))
+    _brent(evaluate, edge, grid[0], floor_point, floor_point, floor_point)
+    # The last grid candidate, the ceiling, is never refined.  The first
+    # one's bracket starts at ``edge``, whose SSE is never evaluated, so its
+    # right neighbour alone seeds Brent.
+    for i in range(_N_GRID - 1):
+        right = (grid[i + 1], sses[i + 1])
+        left = (grid[i - 1], sses[i - 1]) if i > 0 else right
+        if left[1] >= sses[i] <= right[1]:
+            second, third = (left, right) if left[1] <= right[1] else (right, left)
+            lo = grid[i - 1] if i > 0 else edge
+            _brent(evaluate, lo, grid[i + 1], (grid[i], sses[i]), second, third)
 
     sse, slope, intercept = best
     trace.append((best_k, sse))
@@ -266,4 +353,5 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
         sse_linearized=sse,
         r2_linearized=r2,
         k_search_trace=tuple(trace),
+        sse_evals=evals,
     )

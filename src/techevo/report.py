@@ -15,6 +15,7 @@ from __future__ import annotations
 import datetime as _dt
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -262,8 +263,9 @@ def report_to_json(report: AnalysisReport) -> str:
 def report_from_json(text: str) -> AnalysisReport:
     """Rebuild a report from its JSON form.
 
-    Search traces are not serialized, so reconstructed logistic fits carry
-    an empty trace; every serialized field round-trips exactly.
+    Search traces and evaluation counts are not serialized, so
+    reconstructed logistic fits carry an empty trace and ``sse_evals=0``;
+    every serialized field round-trips exactly.
     """
     d = json.loads(text)
     fits = d.get("logistic_fits")
@@ -276,6 +278,7 @@ def report_from_json(text: str) -> AnalysisReport:
             sse_linearized=sub["sse_linearized"],
             r2_linearized=sub["r2_linearized"],
             k_search_trace=(),
+            sse_evals=0,
         )
 
     return AnalysisReport(
@@ -395,11 +398,19 @@ def emit_plot_data(series: FmtSeries, params: LogisticParams | None = None) -> P
     )
 
     t0, t1 = ts[0], ts[-1]
+    # Times are scaled by a power of two into [-1, 1] before they are
+    # differenced.  Scaling is exact for every time that does not underflow,
+    # so the coordinates are those of (t - t0) / (t1 - t0), yet a span wider
+    # than the largest float (t from -1.7e308 to 1.7e308) cannot overflow
+    # into inf and nan, nor can a subnormal span round to zero.
+    t_exp = math.frexp(max(abs(t0), abs(t1)))[1]
+    s0 = math.ldexp(t0, -t_exp)
+    span = math.ldexp(t1, -t_exp) - s0
     y_high = max(obs) if fitted is None else max(max(obs), max(fitted))
     y_high *= 1.05
 
     def sx(t: float) -> float:
-        return _SVG_MARGIN + (t - t0) / (t1 - t0) * (_SVG_W - 2 * _SVG_MARGIN)
+        return _SVG_MARGIN + (math.ldexp(t, -t_exp) - s0) / span * (_SVG_W - 2 * _SVG_MARGIN)
 
     def sy(v: float) -> float:
         return _SVG_H - _SVG_MARGIN - v / y_high * (_SVG_H - 2 * _SVG_MARGIN)
@@ -414,7 +425,7 @@ def emit_plot_data(series: FmtSeries, params: LogisticParams | None = None) -> P
     if params is not None:
         pts = []
         for i in range(_CURVE_SAMPLES + 1):
-            t = t0 + (t1 - t0) * i / _CURVE_SAMPLES
+            t = math.ldexp(s0 + span * i / _CURVE_SAMPLES, t_exp)
             pts.append(f"{sx(t):.2f},{sy(logistic_value(params, t)):.2f}")
         parts.append(
             '<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" '

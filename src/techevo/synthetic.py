@@ -38,6 +38,8 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+#: Largest series ``generate_pair`` builds; far past any real measure history.
+_MAX_POINTS = 1_000_000
 
 
 class SplitMix64:
@@ -83,8 +85,10 @@ class SyntheticSpec:
             raise ValueError(
                 f"t_start {self.t_start!r} must precede t_end {self.t_end!r}"
             )
-        if self.n_points < 3:
-            raise ValueError(f"n_points must be >= 3, got {self.n_points!r}")
+        if not 3 <= self.n_points <= _MAX_POINTS:
+            raise ValueError(
+                f"n_points must lie in [3, {_MAX_POINTS}], got {self.n_points!r}"
+            )
         if self.noise_sigma < 0.0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
         if not 0 <= self.seed <= _MASK64:

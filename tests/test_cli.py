@@ -14,6 +14,7 @@ from techevo.cli import (
     EXIT_OK,
     main,
 )
+from techevo.synthetic import _MAX_POINTS
 
 SYNTH = [str(FIXTURES / "synth_host.csv"), str(FIXTURES / "synth_sub.csv")]
 POWER = [str(FIXTURES / "power_host.csv"), str(FIXTURES / "power_sub.csv")]
@@ -92,6 +93,15 @@ class TestHappyPaths:
         for name in ("host.csv", "host.svg", "sub.csv", "sub.svg"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
+    def test_plot_of_overflowing_time_span_is_finite(self, tmp_path):
+        wide = write_csv(tmp_path / "wide.csv", ["-1.7e308,1", "0,2", "1.7e308,3"])
+        plots = tmp_path / "plots"
+        args = ["report", "--host", wide, "--sub", wide, "--no-logistic"]
+        assert main([*args, "--out", str(tmp_path / "r.json"), "--plot", str(plots)]) == EXIT_OK
+        for name in ("host.svg", "sub.svg"):
+            svg = (plots / name).read_text()
+            assert "nan" not in svg and "inf" not in svg
+
     def test_report_plot_reads_each_input_once(self, tmp_path, monkeypatch):
         reads = []
         read_text = Path.read_text
@@ -161,6 +171,14 @@ class TestExitCodes:
         code = main(["report", "--host", SYNTH[0], "--sub", SYNTH[1], "--alpha", "2"])
         assert code == EXIT_CONFIG
         assert "InvalidAlpha" in capsys.readouterr().err
+
+    def test_simulate_point_cap(self, tmp_path, capsys):
+        host, sub = tmp_path / "h.csv", tmp_path / "s.csv"
+        args = ["simulate", "--out-host", str(host), "--out-sub", str(sub)]
+        code = main([*args, "--n-points", str(_MAX_POINTS + 1)])
+        assert code == EXIT_CONFIG
+        assert "n_points" in capsys.readouterr().err
+        assert not host.exists() and not sub.exists()
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

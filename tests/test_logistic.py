@@ -13,13 +13,16 @@ from techevo import (
     KSearchConfig,
     LogisticParams,
     SplitMix64,
+    SyntheticSpec,
     fit_logistic,
+    generate_pair,
     linearize,
     logistic_value,
     ols_simple,
     solve_time,
 )
 from techevo.errors import KTooSmall, LevelOutOfRange, NotSShaped
+from techevo.logistic import _LineFitContext
 
 params_st = st.builds(
     LogisticParams,
@@ -200,6 +203,61 @@ class TestFitLogistic:
         assert LogisticParams(4, 0.3, 100).inflection_time == pytest.approx(4 / 0.3)
 
 
+@pytest.fixture
+def evaluated_ks(monkeypatch):
+    """Every candidate k whose line fit the k search computes, in order."""
+    ks = []
+    line_fit = _LineFitContext.fit
+
+    def record(self, k):
+        ks.append(k)
+        return line_fit(self, k)
+
+    monkeypatch.setattr(_LineFitContext, "fit", record)
+    return ks
+
+
+class TestKSearchEvaluations:
+    def test_sse_evals_on_criterion_1_series(self, evaluated_ks):
+        # 64 grid candidates, the floor interval and one interior basin;
+        # golden-section refinement took 182.
+        s = sample_series(LogisticParams(4, 0.3, 100), [i * 2.0 for i in range(21)])
+        fit = fit_logistic(s)
+        assert fit.sse_evals == len(evaluated_ks) == 103
+        assert "sse_evals" not in repr(fit)
+
+    def test_ceiling_fit_is_not_refined(self, evaluated_ks):
+        spec = SyntheticSpec(
+            host_params=LogisticParams(4, 0.3, 100),
+            sub_params=LogisticParams(3, 0.2, 50),
+            t_start=0.0,
+            t_end=40.0,
+            n_points=21,
+            noise_sigma=0.05,
+            seed=1,
+        )
+        host = generate_pair(spec).host
+        fit = fit_logistic(host)
+        grid = [k for k, _ in fit.k_search_trace[:-1]]
+        k_hi = 10.0 * host.max_value
+        assert fit.params.k == grid[-1] == k_hi
+        assert [k for k in evaluated_ks if grid[-2] < k < k_hi] == []
+
+    def test_subnormal_values_terminate(self):
+        u = 5e-324
+        # Beside ordinary values, log((k - u) / u) overflows for every k.
+        with pytest.raises(NotSShaped):
+            fit_logistic(FmtSeries("tiny", ((0.0, u), (1.0, 1.0), (2.0, 2.0))))
+        # All-subnormal data, where no relative tolerance can be met: the
+        # search ends on one-ulp steps and still finds the exact curve
+        # k = 4u, a = b = ln 3 through u, 2u, 3u.
+        fit = fit_logistic(FmtSeries("sub", ((0.0, u), (1.0, 2 * u), (2.0, 3 * u))))
+        assert fit.params.k == 4 * u
+        assert fit.sse_linearized == 0.0
+        with pytest.raises(NotSShaped):
+            fit_logistic(FmtSeries("flat", ((0.0, u), (1.0, u), (2.0, u))))
+
+
 def _load_fit_battery():
     path = Path(__file__).resolve().parent.parent / "scripts" / "fit_battery.py"
     spec = importlib.util.spec_from_file_location("fit_battery", path)
@@ -212,7 +270,7 @@ fit_battery = _load_fit_battery()
 
 # Recorded with scripts/fit_battery.py; any change to a fitted bit, a
 # search trace or a raised error type changes it.
-BATTERY_DIGEST = "004e1bf1fbb0eb29e0ecb00074648f829fc457ecdc35cf9a08164a7e1d6cbfe9"
+BATTERY_DIGEST = "22dfa319bc821411e6c4d0a147737009cb4107e42c6fee60b61e3bb0f9bf6ef9"
 
 
 @pytest.fixture(scope="module")

@@ -17,6 +17,7 @@ from techevo import (
     solve_time,
 )
 from techevo.errors import EmptyEarlyPhase
+from techevo.synthetic import _MAX_POINTS
 
 HOST = LogisticParams(a=4.0, b=0.3, k=100.0)
 SUB = LogisticParams(a=3.0, b=0.2, k=50.0)
@@ -111,6 +112,9 @@ class TestGeneratePair:
             spec(t_start=5.0, t_end=5.0)
         with pytest.raises(ValueError):
             spec(n_points=2)
+        assert spec(n_points=_MAX_POINTS).n_points == _MAX_POINTS  # not generated
+        with pytest.raises(ValueError):
+            spec(n_points=_MAX_POINTS + 1)
         with pytest.raises(ValueError):
             spec(noise_sigma=-0.1)
         with pytest.raises(ValueError):
