@@ -170,17 +170,24 @@ def _params_triple(text: str) -> tuple[float, float, float]:
     return a, b, k
 
 
-def _add_pair_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--host", required=True, help="host-technology CSV (t,value)")
-    p.add_argument("--sub", required=True, help="subsystem-technology CSV (t,value)")
-    p.add_argument("--alpha", type=float, default=0.01, help="significance level")
+def _add_output_args(p: argparse.ArgumentParser) -> None:
+    """The k-search bound and output format, shared by fit, evolve and report."""
     p.add_argument(
         "--k-search-factor",
         type=float,
         default=10.0,
         help="saturation search upper bound as a multiple of the observed maximum",
     )
-    p.add_argument("--format", choices=("json", "table"), default="json")
+    p.add_argument(
+        "--format", choices=("json", "table"), default="json", help="output format"
+    )
+
+
+def _add_pair_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--host", required=True, help="host-technology CSV (t,value)")
+    p.add_argument("--sub", required=True, help="subsystem-technology CSV (t,value)")
+    p.add_argument("--alpha", type=float, default=0.01, help="significance level")
+    _add_output_args(p)
     p.add_argument("--out", help="write output to this file instead of stdout")
 
 
@@ -196,8 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit one series' S-curve")
     p_fit.add_argument("csv", help="series CSV (t,value)")
     p_fit.add_argument("--name", help="series name (default: file stem)")
-    p_fit.add_argument("--k-search-factor", type=float, default=10.0)
-    p_fit.add_argument("--format", choices=("json", "table"), default="json")
+    _add_output_args(p_fit)
     p_fit.set_defaults(func=_cmd_fit)
 
     p_evolve = sub.add_parser(

@@ -19,11 +19,25 @@ maximum, mean time, centred times and their sum of squares are built once
 per fit; each candidate then costs one log pass plus three exactly-rounded
 sums (mean log-odds, cross-product, residual SSE).  The total sum of
 squares, needed only for r², is computed once, at the winning k.
+
+A long series (``_PARALLEL_MIN_POINTS`` points or more) in a process that
+may use a second CPU and runs no other Python thread splits its search
+across two processes.  The top of
+the grid and the floor-interval refinement need no other grid SSE, so a
+child forked with ``os.fork`` evaluates them while this process evaluates
+the rest of the grid; the basins are refined here once both are in.  The
+child's line fits come back over a pipe as native doubles, and every fit
+is replayed in the serial order, so the result is bit-identical to the
+in-process search.  Shorter series, a single usable CPU, another running
+thread, a failed fork, a child that exits non-zero or one whose data comes
+short all run the whole search in this process, through the same code.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -62,6 +76,12 @@ _FLOOR_FACTOR = 1.001
 #: Brent refinement stops once its bracket is no wider than this multiple
 #: of the best candidate in it.
 _REL_TOL = 1e-9
+#: Series with at least this many points split their k search across two
+#: processes when a second CPU is usable; smaller ones search in-process.
+_PARALLEL_MIN_POINTS = 500
+#: The first grid index evaluated by the forked child, which takes the
+#: grid's top 16 candidates and the floor interval.
+_CHILD_GRID_START = 48
 
 
 @dataclass(frozen=True)
@@ -261,6 +281,103 @@ def _brent(
                 v, fv = u, fu
 
 
+#: One candidate's line fit as (k, sse, slope, intercept).
+_Record = tuple[float, float, float, float]
+
+
+def _grid_free_share(
+    ctx: _LineFitContext, grid_tail: list[float], edge: float, floor_hi: float
+) -> list[_Record]:
+    """The part of a k search that needs no grid SSE before it starts: the
+    top of the grid, then the floor interval (edge, floor_hi) refined by
+    Brent's method from its golden-section point.  Returns every line fit
+    in evaluation order."""
+    records: list[_Record] = []
+
+    def evaluate(k: float) -> float:
+        sse, slope, intercept = ctx.fit(k)
+        records.append((k, sse, slope, intercept))
+        return sse
+
+    for k in grid_tail:
+        evaluate(k)
+    golden = edge + _CGOLD * (floor_hi - edge)
+    point = (golden, evaluate(golden))
+    _brent(evaluate, edge, floor_hi, point, point, point)
+    return records
+
+
+def _spare_cpu() -> bool:
+    """Whether a forked child could run on a CPU beside this process.
+
+    Not while another Python thread runs: a forked child holds only the
+    forking thread, and a lock another thread held stays locked in it.
+    """
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading and threading.active_count() > 1):
+        return False
+    try:
+        return len(os.sched_getaffinity(0)) > 1
+    except AttributeError:  # no affinity API on this platform
+        return (os.cpu_count() or 1) > 1
+
+
+def _split(
+    own: Callable[[], list[_Record]], share: Callable[[], list[_Record]]
+) -> list[_Record]:
+    """``own() + share()``, with ``share`` run in a forked child while this
+    process runs ``own``.
+
+    The child sends its record count, then its records, as native doubles
+    over a pipe and leaves with ``os._exit``.  When no child can be
+    started, or it exits non-zero or its data comes short, this process
+    runs ``share`` itself.  No child outlives the call: if ``own`` raises,
+    the child is killed and reaped before the exception propagates.
+    """
+    import signal
+    from array import array
+
+    fds: tuple[int, ...] = ()
+    try:
+        fds = os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return own() + share()
+    r, w = fds
+    if pid == 0:  # the child: never returns into the caller's frames
+        code = 1
+        try:
+            os.close(r)
+            records = share()
+            payload = array("d", [len(records)])
+            for record in records:
+                payload.extend(record)
+            with open(w, "wb") as pipe:
+                pipe.write(payload.tobytes())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    try:
+        with open(r, "rb") as pipe:
+            mine = own()
+            data = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    values = array("d")
+    if status == 0 and len(data) % values.itemsize == 0:
+        values.frombytes(data)
+    if not values or len(values) != 1 + 4 * values[0]:
+        return mine + share()
+    flat = iter(values[1:])
+    return mine + list(zip(flat, flat, flat, flat))
+
+
 def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> LogisticFit:
     """Fit (a, b, k) to a series by linearized least squares with k-search.
 
@@ -283,12 +400,28 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
     itself has been evaluated exactly.  The best candidate ever evaluated
     is returned.
 
+    A series of at least ``_PARALLEL_MIN_POINTS`` points, in a process
+    that may use more than one CPU and runs no other Python thread, has
+    its search split across two processes.  A child forked with ``os.fork`` evaluates the top of the
+    grid (from index ``_CHILD_GRID_START``) and the floor interval, neither
+    of which needs any other grid SSE; meanwhile this process evaluates the
+    rest of the grid.  The basins are refined here once both halves are
+    in.  Every candidate's line fit is then replayed in the serial order
+    (grid, floor interval, basins), so the best candidate, its
+    tie-breaking, ``k_search_trace`` and ``sse_evals`` are bit-identical
+    to a search run wholly in this process.  That is also what happens
+    when the split's conditions do not hold, or when ``fork`` fails, the
+    child exits non-zero or its data comes short: this process runs the
+    child's share itself.
+
     The series' times, values, maximum, mean time and centred times are
     extracted once per call; each candidate k then only linearizes and
     fits the line (see ``_LineFitContext``).  The total sum of squares
     behind ``r2_linearized`` is computed once, for the winning k.  Times so
     large that those sums overflow (about 1e154 and beyond) raise
-    ``FittingError``.
+    ``FittingError``, as do values whose log-odds overflow at every
+    candidate k (a maximum of about 1.8e307 or more, or a subnormal value
+    beside ordinary ones).
     """
     cfg = KSearchConfig() if search is None else search
     try:
@@ -303,27 +436,39 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
     k_hi = vmax * cfg.factor_max
     ratio = k_hi / k_lo
     edge = math.nextafter(vmax, math.inf)
+    grid = [k_lo * ratio ** (i / _N_GRID) for i in range(1, _N_GRID)]
+    grid.append(k_hi)
+
+    def own() -> list[_Record]:
+        return [(k, *ctx.fit(k)) for k in grid[:_CHILD_GRID_START]]
+
+    def share() -> list[_Record]:
+        return _grid_free_share(ctx, grid[_CHILD_GRID_START:], edge, grid[0])
+
+    if ctx.n >= _PARALLEL_MIN_POINTS and _spare_cpu():
+        records = _split(own, share)
+    else:
+        records = own() + share()
 
     best_k = math.nan
     best = (math.inf, math.nan, math.nan)
     evals = 0
 
-    def evaluate(k: float) -> float:
+    def keep(k: float, sse: float, slope: float, intercept: float) -> float:
         nonlocal best_k, best, evals
         evals += 1
-        res = ctx.fit(k)
-        if res[0] < best[0]:
-            best_k, best = k, res
-        return res[0]
+        if sse < best[0]:
+            best_k, best = k, (sse, slope, intercept)
+        return sse
 
-    grid = [k_lo * ratio ** (i / _N_GRID) for i in range(1, _N_GRID)]
-    grid.append(k_hi)
-    sses = [evaluate(k) for k in grid]
+    def evaluate(k: float) -> float:
+        return keep(k, *ctx.fit(k))
+
+    for record in records:
+        keep(*record)
+    sses = [sse for _, sse, _, _ in records[:_N_GRID]]
     trace = list(zip(grid, sses))
 
-    golden = edge + _CGOLD * (grid[0] - edge)
-    floor_point = (golden, evaluate(golden))
-    _brent(evaluate, edge, grid[0], floor_point, floor_point, floor_point)
     # The last grid candidate, the ceiling, is never refined.  The first
     # one's bracket starts at ``edge``, whose SSE is never evaluated, so its
     # right neighbour alone seeds Brent.
@@ -336,6 +481,11 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
             _brent(evaluate, lo, grid[i + 1], (grid[i], sses[i]), second, third)
 
     sse, slope, intercept = best
+    if sse == math.inf:
+        raise FittingError(
+            f"series {series.name!r}: the log-odds overflow at every saturation "
+            "candidate (arithmetic overflow), so no line can be fitted"
+        )
     trace.append((best_k, sse))
     b = -slope
     if not b > 0.0:

@@ -12,6 +12,7 @@ from techevo.cli import (
     EXIT_FITTING,
     EXIT_INPUT,
     EXIT_OK,
+    build_parser,
     main,
 )
 from techevo.synthetic import _MAX_POINTS
@@ -120,6 +121,16 @@ class TestHappyPaths:
         assert code == EXIT_OK
         assert reads == ["synth_host.csv", "synth_sub.csv"]
 
+    def test_fit_options_have_the_pair_commands_help(self):
+        def helps(command):
+            sub = next(a for a in build_parser()._actions if a.dest == "command")
+            parser = sub.choices[command]
+            return {a.dest: a.help for a in parser._actions}
+
+        fit, report = helps("fit"), helps("report")
+        for dest in ("k_search_factor", "format"):
+            assert fit[dest] and fit[dest] == report[dest]
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -159,6 +170,17 @@ class TestExitCodes:
             assert main(args) == EXIT_FITTING
             assert "FittingError" in capsys.readouterr().err
         assert main(["evolve", "--host", huge, "--sub", huge]) == EXIT_OK
+
+    def test_log_odds_overflow_is_a_fitting_error(self, tmp_path, capsys):
+        # A maximum near 1.8e307 makes every candidate k overflow; a
+        # subnormal value beside ordinary ones makes its log-odds overflow.
+        huge = write_csv(tmp_path / "huge.csv", ["0,1e307", "1,2e307", "2,3e307"])
+        tiny = write_csv(tmp_path / "tiny.csv", ["0,5e-324", "1,1", "2,2"])
+        for path in (huge, tiny):
+            assert main(["fit", path]) == EXIT_FITTING
+            err = capsys.readouterr().err
+            assert err.startswith("FittingError: ") and "overflow" in err
+            assert "NotSShaped" not in err and "nan" not in err
 
     def test_estimation_error(self, tmp_path, capsys):
         const = write_csv(tmp_path / "const.csv", ["0,5", "1,5", "2,5"])

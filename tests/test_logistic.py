@@ -1,6 +1,9 @@
 
 import importlib.util
 import math
+import os
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -21,7 +24,8 @@ from techevo import (
     ols_simple,
     solve_time,
 )
-from techevo.errors import KTooSmall, LevelOutOfRange, NotSShaped
+from techevo.errors import FittingError, KTooSmall, LevelOutOfRange, NotSShaped
+from techevo import logistic
 from techevo.logistic import _LineFitContext
 
 params_st = st.builds(
@@ -246,8 +250,9 @@ class TestKSearchEvaluations:
     def test_subnormal_values_terminate(self):
         u = 5e-324
         # Beside ordinary values, log((k - u) / u) overflows for every k.
-        with pytest.raises(NotSShaped):
+        with pytest.raises(FittingError, match="overflow") as exc:
             fit_logistic(FmtSeries("tiny", ((0.0, u), (1.0, 1.0), (2.0, 2.0))))
+        assert type(exc.value) is FittingError
         # All-subnormal data, where no relative tolerance can be met: the
         # search ends on one-ulp steps and still finds the exact curve
         # k = 4u, a = b = ln 3 through u, 2u, 3u.
@@ -297,3 +302,152 @@ class TestFitBattery:
             assert core.intercept == fit.params.a
             assert rel_err(core.sse, fit.sse_linearized) <= 1e-12
             assert rel_err(core.r2, fit.r2_linearized) <= 1e-12
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children ``os.fork`` starts in this process."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+@pytest.fixture
+def split(monkeypatch, forks):
+    """Split k searches of at least the threshold size whatever the CPU count."""
+    monkeypatch.setattr(logistic, "_spare_cpu", lambda: True)
+    return forks
+
+
+SPLIT_MIN_POINTS = logistic._PARALLEL_MIN_POINTS
+
+
+def in_process_fit(monkeypatch, series):
+    with monkeypatch.context() as m:
+        m.setattr(logistic, "_PARALLEL_MIN_POINTS", math.inf)
+        return fit_logistic(series)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def threshold_series():
+    """An interior-basin and a ceiling fit at the smallest split size."""
+    n = SPLIT_MIN_POINTS
+    exact = sample_series(
+        LogisticParams(4, 0.3, 100), [40.0 * i / (n - 1) for i in range(n)], "exact"
+    )
+    spec = SyntheticSpec(
+        host_params=LogisticParams(4, 0.3, 100),
+        sub_params=LogisticParams(3, 0.2, 50),
+        t_start=0.0,
+        t_end=40.0,
+        n_points=n,
+        noise_sigma=0.05,
+        seed=1,
+    )
+    return exact, generate_pair(spec).host
+
+
+class TestSplitSearch:
+    def test_battery_digest_when_every_search_splits(self, monkeypatch, split, battery):
+        monkeypatch.setattr(logistic, "_PARALLEL_MIN_POINTS", 0)
+        series, _ = battery
+        outcomes = [fit_battery.fit_outcome(s) for s in series]
+        assert len(split) == len(series)
+        assert fit_battery.battery_digest(outcomes) == BATTERY_DIGEST
+        assert_no_child_left()
+
+    def test_threshold_fits_match_in_process(self, monkeypatch, split):
+        exact, noisy = threshold_series()
+        fits = [fit_logistic(s) for s in (exact, noisy)]
+        assert len(split) == 2
+        assert rel_err(fits[0].params.k, 100.0) < 1e-6
+        assert fits[1].params.k == 10.0 * noisy.max_value
+        for fit, series in zip(fits, (exact, noisy)):
+            # Dataclass equality compares every field, the trace included.
+            reference = in_process_fit(monkeypatch, series)
+            assert fit == reference and fit.sse_evals == reference.sse_evals
+        assert_no_child_left()
+
+    def test_failed_fork_runs_in_process(self, monkeypatch, split):
+        def refuse():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        exact, _ = threshold_series()
+        assert fit_logistic(exact) == in_process_fit(monkeypatch, exact)
+
+    @pytest.mark.parametrize("exit_code", [3, 0])
+    def test_failed_child_share_is_recomputed(self, monkeypatch, split, exit_code):
+        # A child that exits non-zero, or exits 0 before sending its data,
+        # leaves its share to this process, which runs it exactly once.
+        parent = os.getpid()
+        calls = []
+        share = logistic._grid_free_share
+
+        def failing(*args):
+            if os.getpid() != parent:
+                os._exit(exit_code)
+            calls.append(args)
+            return share(*args)
+
+        monkeypatch.setattr(logistic, "_grid_free_share", failing)
+        exact, _ = threshold_series()
+        fit = fit_logistic(exact)
+        assert len(split) == 1 and len(calls) == 1
+        monkeypatch.setattr(logistic, "_grid_free_share", share)
+        assert fit == in_process_fit(monkeypatch, exact)
+        assert_no_child_left()
+
+    def test_child_is_killed_when_own_share_raises(self, monkeypatch, split):
+        # The child would take 20 s; it is killed, not waited for.
+        def slow(*args):
+            time.sleep(20)
+
+        def failing(self, k):
+            raise ArithmeticError("parent share failed")
+
+        monkeypatch.setattr(logistic, "_grid_free_share", slow)
+        monkeypatch.setattr(_LineFitContext, "fit", failing)
+        exact, _ = threshold_series()
+        start = time.monotonic()
+        with pytest.raises(ArithmeticError, match="parent share failed"):
+            fit_logistic(exact)
+        assert time.monotonic() - start < 10
+        assert len(split) == 1
+        assert_no_child_left()
+
+    def test_split_only_at_threshold_with_a_spare_cpu(self, forks):
+        # Uses the real CPU gate: pinned to one CPU, nothing is forked.
+        exact, _ = threshold_series()
+        fit_logistic(FmtSeries("short", exact.points[:-1]))
+        assert forks == []
+        fit_logistic(exact)
+        assert len(forks) == (1 if len(os.sched_getaffinity(0)) > 1 else 0)
+        assert_no_child_left()
+
+    def test_no_split_while_another_thread_runs(self, monkeypatch, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        exact, _ = threshold_series()
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            fit = fit_logistic(exact)
+        finally:
+            release.set()
+            other.join(timeout=30)
+        assert not other.is_alive()
+        assert forks == []
+        assert fit == in_process_fit(monkeypatch, exact)
