@@ -41,10 +41,11 @@ def _random_params(rng: random.Random) -> LogisticParams:
     )
 
 
-def battery_series() -> list[FmtSeries]:
-    """The battery's series, host then sub for each pair, in a fixed order."""
+def battery_cases() -> list[tuple[FmtSeries, LogisticParams, float]]:
+    """(series, true parameters, noise sigma) for every battery series,
+    host then sub for each pair, in a fixed order."""
     rng = random.Random(SEED)
-    out: list[FmtSeries] = []
+    out: list[tuple[FmtSeries, LogisticParams, float]] = []
     for n in N_POINTS:
         for sigma in SIGMAS:
             for _ in range(PAIRS_PER_CELL):
@@ -58,8 +59,14 @@ def battery_series() -> list[FmtSeries]:
                     seed=rng.getrandbits(64),
                 )
                 pair = generate_pair(spec)
-                out.extend((pair.host, pair.sub))
+                out.append((pair.host, spec.host_params, sigma))
+                out.append((pair.sub, spec.sub_params, sigma))
     return out
+
+
+def battery_series() -> list[FmtSeries]:
+    """The battery's series, host then sub for each pair, in a fixed order."""
+    return [series for series, _, _ in battery_cases()]
 
 
 def fit_outcome(series: FmtSeries) -> LogisticFit | str:

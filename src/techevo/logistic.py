@@ -9,10 +9,13 @@ is what makes fitting linear once k is known.
 Fitting strategy: k is not observable, so it is searched.  For each
 candidate k the series is linearized and a straight line is fitted by
 least squares; the candidate minimizing the line's SSE wins.  The search
-runs a geometric grid above the observed maximum and refines every local
-basin the grid reveals by Brent's method (parabolic steps with a
-golden-section fallback), seeded with the grid's own SSEs.  All
-logarithms are natural.
+evaluates one fixed list of candidates: floor candidates evenly spaced in
+u = ln(k/max - 1), from k = max * (1 + 1e-15) up to the grid floor, then
+a geometric grid up to the ceiling.  Every interior local minimum among
+them is refined in u by Brent's method (parabolic steps with a
+golden-section fallback), seeded with the candidates' own SSEs, until k
+is known to about 1e-9 of its distance from the maximum.  All logarithms
+are natural.
 
 Only the log-odds side of the line fit depends on k.  The times, values,
 maximum, mean time, centred times and their sum of squares are built once
@@ -22,13 +25,12 @@ squares, needed only for r², is computed once, at the winning k.
 
 A long series (``_PARALLEL_MIN_POINTS`` points or more) in a process that
 may use a second CPU and runs no other Python thread splits its search
-across two processes.  The top of
-the grid and the floor-interval refinement need no other grid SSE, so a
-child forked with ``os.fork`` evaluates them while this process evaluates
-the rest of the grid; the basins are refined here once both are in.  The
-child's line fits come back over a pipe as native doubles, and every fit
-is replayed in the serial order, so the result is bit-identical to the
-in-process search.  Shorter series, a single usable CPU, another running
+across two processes.  No candidate's SSE depends on another's, so a
+child forked with ``os.fork`` evaluates the top half of the list while
+this process evaluates the bottom half; the basins are refined here once
+both are in.  The child's line fits come back over a pipe as native
+doubles, and every fit is replayed in the serial order, so the result is
+bit-identical to the in-process search.  Shorter series, a single usable CPU, another running
 thread, a failed fork, a child that exits non-zero or one whose data comes
 short all run the whole search in this process, through the same code.
 """
@@ -73,30 +75,33 @@ class LogisticParams:
 _N_GRID = 64
 #: Grid floor as a multiple of the observed maximum.
 _FLOOR_FACTOR = 1.001
-#: Brent refinement stops once its bracket is no wider than this multiple
-#: of the best candidate in it.
-_REL_TOL = 1e-9
+#: Floor candidates below the grid, evenly spaced in u = ln(k/max - 1) from
+#: ln(_FLOOR_GAP) up to, and excluding, the first grid candidate's u.
+_N_FLOOR = 16
+_FLOOR_GAP = 1e-15
+#: Brent refinement stops once its bracket in u is no wider than this.
+_U_TOL = 1e-9
 #: Series with at least this many points split their k search across two
 #: processes when a second CPU is usable; smaller ones search in-process.
 _PARALLEL_MIN_POINTS = 500
-#: The first grid index evaluated by the forked child, which takes the
-#: grid's top 16 candidates and the floor interval.
-_CHILD_GRID_START = 48
 
 
 @dataclass(frozen=True)
 class KSearchConfig:
     """Upper bound of the saturation-level search.
 
-    The grid has ``_N_GRID`` geometric candidates over
-    ``(max_value * _FLOOR_FACTOR, max_value * factor_max]``, the last one
-    exactly ``max_value * factor_max``; each traced local minimum below
-    that ceiling is refined by Brent's method until the bracket is no wider
-    than ``_REL_TOL`` times the best candidate.  A minimum at the ceiling
-    itself is not refined: nothing above it is searched, so it brackets no
-    interior minimum.  The interval between the observed maximum and the
-    grid floor is always refined too, so a true saturation level closer
-    than ``_FLOOR_FACTOR`` to the data is still reachable.
+    The search evaluates ``_N_FLOOR`` floor candidates k = max * (1 + e^u)
+    with u evenly spaced from ln(``_FLOOR_GAP``) up to, and excluding, the
+    first grid candidate's u = ln(k/max - 1), then ``_N_GRID`` geometric
+    grid candidates over ``(max * _FLOOR_FACTOR, max * factor_max]``, the
+    last one exactly ``max * factor_max``.  Each interior local minimum is
+    refined by Brent's method in u until its bracket in u is no wider than
+    ``_U_TOL``; as dk/du = k - max, that pins k to within about
+    ``_U_TOL * (k - max)``.  A minimum at the ceiling is not refined:
+    nothing above it is searched, so it brackets no interior minimum.  The
+    grid stays geometric above ``max * _FLOOR_FACTOR`` because steps even
+    in u grow with k and would miss a saturation level several times the
+    data's maximum.
     """
 
     factor_max: float = 10.0
@@ -112,9 +117,10 @@ class KSearchConfig:
 class LogisticFit:
     """Fitted parameters plus linearized-regression diagnostics.
 
-    ``k_search_trace`` records (k candidate, SSE) for every grid candidate
-    and, last, the refined optimum actually returned.  ``sse_evals`` counts
-    the candidates whose line fit the search computed, grid included.
+    ``k_search_trace`` records (k candidate, SSE) for every floor and grid
+    candidate and, last, the refined optimum actually returned.
+    ``sse_evals`` counts the candidates whose line fit the search computed,
+    the floor and grid candidates included.
     """
 
     params: LogisticParams
@@ -212,28 +218,25 @@ def _brent(
 ) -> None:
     """Narrow a minimum of ``f`` bracketed by (lo, hi) with Brent's method.
 
-    ``best``, ``second`` and ``third`` are (k, f(k)) points already
+    ``best``, ``second`` and ``third`` are (x, f(x)) points already
     evaluated, best first; ``best`` lies strictly inside the bracket.  The
     parabola through them is tried before any golden-section step, so three
     distinct points make the first step parabolic.  Stops once ``best`` is
-    within ``_REL_TOL / 2`` of its own k from both bracket ends, so the
-    final bracket is no wider than ``_REL_TOL`` times it.  Steps are at
-    least ``_REL_TOL / 4`` of k and at least one ulp, so every evaluation
-    narrows the bracket and the loop ends even for subnormal k.  The caller
-    keeps the best point through ``f``.
+    within ``_U_TOL / 2`` of both bracket ends, so the final bracket is no
+    wider than ``_U_TOL``.  Steps are at least ``_U_TOL / 4``, so every
+    evaluation narrows the bracket and the loop ends.  The caller keeps the
+    best point through ``f``.
 
     On stopping, the vertex of the parabola through the three best points
-    is evaluated once more if it lies inside the bracket.  Where k is close
-    to the data's maximum the SSE is so steep that the bracket's last
-    ``_REL_TOL`` still spans orders of magnitude of SSE; that one step lands
-    on the bottom of the locally quadratic SSE.
+    is evaluated once more if it lies inside the bracket: that one step
+    lands on the bottom of a locally quadratic ``f``.
     """
     (x, fx), (w, fw), (v, fv) = best, second, third
     # Stand-ins for the last two steps, wide enough to admit a parabola.
     d = e = hi - lo
     while True:
         m = 0.5 * (lo + hi)
-        tol1 = max(_REL_TOL / 4.0 * x, math.ulp(x))
+        tol1 = _U_TOL / 4.0
         tol2 = 2.0 * tol1
         # The parabola through x, w and v has its vertex at x + p / q.
         r = (x - w) * (fx - fv)
@@ -243,7 +246,7 @@ def _brent(
         if q > 0.0:
             p = -p
         q = abs(q)
-        # Negated so that a non-finite bracket (k overflowed) stops as well.
+        # Negated so that a non-finite bracket stops as well.
         if not abs(x - m) > tol2 - 0.5 * (hi - lo):
             if q > 0.0:
                 u = x + p / q
@@ -285,26 +288,9 @@ def _brent(
 _Record = tuple[float, float, float, float]
 
 
-def _grid_free_share(
-    ctx: _LineFitContext, grid_tail: list[float], edge: float, floor_hi: float
-) -> list[_Record]:
-    """The part of a k search that needs no grid SSE before it starts: the
-    top of the grid, then the floor interval (edge, floor_hi) refined by
-    Brent's method from its golden-section point.  Returns every line fit
-    in evaluation order."""
-    records: list[_Record] = []
-
-    def evaluate(k: float) -> float:
-        sse, slope, intercept = ctx.fit(k)
-        records.append((k, sse, slope, intercept))
-        return sse
-
-    for k in grid_tail:
-        evaluate(k)
-    golden = edge + _CGOLD * (floor_hi - edge)
-    point = (golden, evaluate(golden))
-    _brent(evaluate, edge, floor_hi, point, point, point)
-    return records
+def _line_fits(ctx: _LineFitContext, ks: list[float]) -> list[_Record]:
+    """The line fit of every candidate in ``ks``, in order."""
+    return [(k, *ctx.fit(k)) for k in ks]
 
 
 def _spare_cpu() -> bool:
@@ -387,27 +373,22 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
     The SSE landscape in k is not globally unimodal: it diverges just
     above the observed maximum, dips at the physical saturation level,
     and decays toward a plateau as k grows (the exponential limit).  The
-    grid therefore only locates candidate basins; each traced local
-    minimum is refined by Brent's method, as is the leading interval
-    below the grid floor, where a saturation level within
-    ``_FLOOR_FACTOR`` of the data would otherwise be invisible.  An
-    interior grid minimum starts Brent from the three grid candidates
-    around it, whose SSEs the grid already holds, so its first step is
-    parabolic; the first grid candidate starts from itself and its right
-    neighbour; the floor interval starts from its golden-section point.
-    A minimum at the last grid candidate, the ceiling ``max * factor_max``,
-    is not refined: it brackets no interior minimum, and the ceiling
-    itself has been evaluated exactly.  The best candidate ever evaluated
-    is returned.
+    candidates (see ``KSearchConfig``) therefore only locate basins: the
+    floor candidates reach down to within 1e-15 of the maximum, and the
+    geometric grid covers the rest up to the ceiling.  Each interior local
+    minimum is refined by Brent's method in u = ln(k/max - 1), starting
+    from the three candidates around it, whose SSEs the search already
+    holds, so its first step is parabolic.  The first candidate and the
+    ceiling ``max * factor_max`` bound the search and are not refined.
+    The best candidate ever evaluated is returned.
 
     A series of at least ``_PARALLEL_MIN_POINTS`` points, in a process
     that may use more than one CPU and runs no other Python thread, has
-    its search split across two processes.  A child forked with ``os.fork`` evaluates the top of the
-    grid (from index ``_CHILD_GRID_START``) and the floor interval, neither
-    of which needs any other grid SSE; meanwhile this process evaluates the
-    rest of the grid.  The basins are refined here once both halves are
-    in.  Every candidate's line fit is then replayed in the serial order
-    (grid, floor interval, basins), so the best candidate, its
+    its search split across two processes.  A child forked with
+    ``os.fork`` evaluates the top half of the candidate list while this
+    process evaluates the bottom half.  The basins are refined here once
+    both halves are in.  Every candidate's line fit is then replayed in
+    the serial order (candidates, basins), so the best candidate, its
     tie-breaking, ``k_search_trace`` and ``sse_evals`` are bit-identical
     to a search run wholly in this process.  That is also what happens
     when the split's conditions do not hold, or when ``fork`` fails, the
@@ -435,15 +416,25 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
     k_lo = vmax * _FLOOR_FACTOR
     k_hi = vmax * cfg.factor_max
     ratio = k_hi / k_lo
-    edge = math.nextafter(vmax, math.inf)
-    grid = [k_lo * ratio ** (i / _N_GRID) for i in range(1, _N_GRID)]
-    grid.append(k_hi)
+    scales = [ratio ** (i / _N_GRID) for i in range(1, _N_GRID + 1)]
+    # u = ln(k/max - 1) of each grid candidate, from its exact multiple of max.
+    grid_us = [math.log(_FLOOR_FACTOR * scale - 1.0) for scale in scales]
+    u_floor = math.log(_FLOOR_GAP)
+    step = (grid_us[0] - u_floor) / _N_FLOOR
+    us = [u_floor + i * step for i in range(_N_FLOOR)]
+
+    def k_of(u: float) -> float:
+        return vmax + vmax * math.exp(u)
+
+    ks = [k_of(u) for u in us] + [k_lo * scale for scale in scales[:-1]] + [k_hi]
+    us += grid_us
+    half = len(ks) // 2
 
     def own() -> list[_Record]:
-        return [(k, *ctx.fit(k)) for k in grid[:_CHILD_GRID_START]]
+        return _line_fits(ctx, ks[:half])
 
     def share() -> list[_Record]:
-        return _grid_free_share(ctx, grid[_CHILD_GRID_START:], edge, grid[0])
+        return _line_fits(ctx, ks[half:])
 
     if ctx.n >= _PARALLEL_MIN_POINTS and _spare_cpu():
         records = _split(own, share)
@@ -461,24 +452,24 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
             best_k, best = k, (sse, slope, intercept)
         return sse
 
-    def evaluate(k: float) -> float:
+    def refine(u: float) -> float:
+        k = k_of(u)
         return keep(k, *ctx.fit(k))
 
     for record in records:
         keep(*record)
-    sses = [sse for _, sse, _, _ in records[:_N_GRID]]
-    trace = list(zip(grid, sses))
+    sses = [sse for _, sse, _, _ in records]
+    trace = list(zip(ks, sses))
 
-    # The last grid candidate, the ceiling, is never refined.  The first
-    # one's bracket starts at ``edge``, whose SSE is never evaluated, so its
-    # right neighbour alone seeds Brent.
-    for i in range(_N_GRID - 1):
-        right = (grid[i + 1], sses[i + 1])
-        left = (grid[i - 1], sses[i - 1]) if i > 0 else right
-        if left[1] >= sses[i] <= right[1]:
+    # Each interior local minimum is refined in u; the first candidate and
+    # the last one, the ceiling, bound the search and are never refined.  A
+    # run of equal SSEs is refined once, from its left end, so a plateau of
+    # infeasible (infinite-SSE) candidates is never refined.
+    for i in range(1, len(ks) - 1):
+        left, right = (us[i - 1], sses[i - 1]), (us[i + 1], sses[i + 1])
+        if left[1] > sses[i] <= right[1]:
             second, third = (left, right) if left[1] <= right[1] else (right, left)
-            lo = grid[i - 1] if i > 0 else edge
-            _brent(evaluate, lo, grid[i + 1], (grid[i], sses[i]), second, third)
+            _brent(refine, left[0], right[0], (us[i], sses[i]), second, third)
 
     sse, slope, intercept = best
     if sse == math.inf:

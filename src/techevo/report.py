@@ -127,7 +127,8 @@ def run_pipeline(
         version=__version__,
         config={
             "alpha": cfg.alpha,
-            "k_search_factor": cfg.k_search.factor_max,
+            # The k-search bound is recorded only when an S-curve is fitted.
+            "k_search_factor": cfg.k_search.factor_max if cfg.with_logistic else None,
             "with_logistic": cfg.with_logistic,
         },
         timestamp=_utc_now(),

@@ -46,6 +46,16 @@ class TestHappyPaths:
         assert payload["logistic_fits"] is None
         assert abs(payload["evolution"]["b"] - 0.5) < 1e-9
 
+    def test_evolve_digest_ignores_k_search_factor(self, capsys):
+        # evolve fits no S-curve, so the k-search bound must not reach the digest.
+        digests = []
+        for extra in ([], ["--k-search-factor", "5"]):
+            assert main(["evolve", "--host", POWER[0], "--sub", POWER[1], *extra]) == EXIT_OK
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["provenance"]["config"]["k_search_factor"] is None
+            digests.append(payload["digest"])
+        assert digests[0] == digests[1]
+
     def test_fit(self, capsys):
         assert main(["fit", SYNTH[0]]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)

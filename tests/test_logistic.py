@@ -1,4 +1,5 @@
 
+import ast
 import importlib.util
 import math
 import os
@@ -223,11 +224,11 @@ def evaluated_ks(monkeypatch):
 
 class TestKSearchEvaluations:
     def test_sse_evals_on_criterion_1_series(self, evaluated_ks):
-        # 64 grid candidates, the floor interval and one interior basin;
-        # golden-section refinement took 182.
+        # 16 floor and 64 grid candidates, then 8 evaluations refining the
+        # one interior basin in u.
         s = sample_series(LogisticParams(4, 0.3, 100), [i * 2.0 for i in range(21)])
         fit = fit_logistic(s)
-        assert fit.sse_evals == len(evaluated_ks) == 103
+        assert fit.sse_evals == len(evaluated_ks) == 88
         assert "sse_evals" not in repr(fit)
 
     def test_ceiling_fit_is_not_refined(self, evaluated_ks):
@@ -246,6 +247,16 @@ class TestKSearchEvaluations:
         k_hi = 10.0 * host.max_value
         assert fit.params.k == grid[-1] == k_hi
         assert [k for k in evaluated_ks if grid[-2] < k < k_hi] == []
+
+    def test_equal_sse_runs_are_refined_once(self, evaluated_ks):
+        # On values u, 2u, 3u (u the smallest subnormal) the candidates round
+        # to a few multiples of u: 20 of them to k = 3u = max (infinite SSE),
+        # then runs at 4u, 5u, ...  Refining every member of each run took
+        # over 2 000 evaluations; refining each run once takes fewer than
+        # the 80 candidates themselves.
+        u = 5e-324
+        fit_logistic(FmtSeries("sub", ((0.0, u), (1.0, 2 * u), (2.0, 3 * u))))
+        assert len(evaluated_ks) < 160
 
     def test_subnormal_values_terminate(self):
         u = 5e-324
@@ -275,7 +286,7 @@ fit_battery = _load_fit_battery()
 
 # Recorded with scripts/fit_battery.py; any change to a fitted bit, a
 # search trace or a raised error type changes it.
-BATTERY_DIGEST = "22dfa319bc821411e6c4d0a147737009cb4107e42c6fee60b61e3bb0f9bf6ef9"
+BATTERY_DIGEST = "1738664b290d8aa62aafc5cc6d4f35449bde14596d63c9bbf8ad7f51ff48c22b"
 
 
 @pytest.fixture(scope="module")
@@ -302,6 +313,25 @@ class TestFitBattery:
             assert core.intercept == fit.params.a
             assert rel_err(core.sse, fit.sse_linearized) <= 1e-12
             assert rel_err(core.r2, fit.r2_linearized) <= 1e-12
+
+    def test_noise_free_recovery(self, battery):
+        # Every noise-free battery series lies exactly on its curve, so the
+        # true k has an SSE of about 0.  At most 5 of those whose true k
+        # exceeds the observed maximum may miss (a, b, k) by 1e-6 relative.
+        _, outcomes = battery
+        misses = checked = 0
+        for (s, truth, sigma), fit in zip(fit_battery.battery_cases(), outcomes):
+            if sigma != 0.0 or not truth.k > s.max_value:
+                continue
+            checked += 1
+            if isinstance(fit, str) or max(
+                rel_err(fit.params.a, truth.a),
+                rel_err(fit.params.b, truth.b),
+                rel_err(fit.params.k, truth.k),
+            ) >= 1e-6:
+                misses += 1
+        assert checked == 50
+        assert misses <= 5
 
 
 @pytest.fixture
@@ -388,37 +418,69 @@ class TestSplitSearch:
         exact, _ = threshold_series()
         assert fit_logistic(exact) == in_process_fit(monkeypatch, exact)
 
+    def test_child_evaluates_the_top_half_of_the_candidates(
+        self, monkeypatch, split, tmp_path
+    ):
+        # The 80 candidates are 16 floor then 64 grid ones; this process
+        # fits the first 40, the forked child the last 40.
+        parent = os.getpid()
+        calls = []
+        line_fits = logistic._line_fits
+
+        def recording(ctx, ks):
+            if os.getpid() == parent:
+                calls.append(ks)
+            else:
+                (tmp_path / "child").write_text(repr(ks))
+            return line_fits(ctx, ks)
+
+        monkeypatch.setattr(logistic, "_line_fits", recording)
+        exact, _ = threshold_series()
+        fit = fit_logistic(exact)
+        candidates = [k for k, _ in fit.k_search_trace[:-1]]
+        assert len(candidates) == 80 and len(split) == 1
+        assert calls == [candidates[:40]]
+        assert ast.literal_eval((tmp_path / "child").read_text()) == candidates[40:]
+        assert_no_child_left()
+
     @pytest.mark.parametrize("exit_code", [3, 0])
     def test_failed_child_share_is_recomputed(self, monkeypatch, split, exit_code):
         # A child that exits non-zero, or exits 0 before sending its data,
         # leaves its share to this process, which runs it exactly once.
         parent = os.getpid()
         calls = []
-        share = logistic._grid_free_share
+        line_fits = logistic._line_fits
 
-        def failing(*args):
+        def failing(ctx, ks):
             if os.getpid() != parent:
                 os._exit(exit_code)
-            calls.append(args)
-            return share(*args)
+            calls.append(ks)
+            return line_fits(ctx, ks)
 
-        monkeypatch.setattr(logistic, "_grid_free_share", failing)
+        monkeypatch.setattr(logistic, "_line_fits", failing)
         exact, _ = threshold_series()
         fit = fit_logistic(exact)
-        assert len(split) == 1 and len(calls) == 1
-        monkeypatch.setattr(logistic, "_grid_free_share", share)
+        candidates = [k for k, _ in fit.k_search_trace[:-1]]
+        assert len(split) == 1
+        assert calls == [candidates[:40], candidates[40:]]
+        monkeypatch.setattr(logistic, "_line_fits", line_fits)
         assert fit == in_process_fit(monkeypatch, exact)
         assert_no_child_left()
 
     def test_child_is_killed_when_own_share_raises(self, monkeypatch, split):
         # The child would take 20 s; it is killed, not waited for.
-        def slow(*args):
-            time.sleep(20)
+        parent = os.getpid()
+        line_fits = logistic._line_fits
+
+        def slow(ctx, ks):
+            if os.getpid() != parent:
+                time.sleep(20)
+            return line_fits(ctx, ks)
 
         def failing(self, k):
             raise ArithmeticError("parent share failed")
 
-        monkeypatch.setattr(logistic, "_grid_free_share", slow)
+        monkeypatch.setattr(logistic, "_line_fits", slow)
         monkeypatch.setattr(_LineFitContext, "fit", failing)
         exact, _ = threshold_series()
         start = time.monotonic()
