@@ -38,6 +38,7 @@ from .errors import (
 from .logistic import KSearchConfig, LogisticParams, fit_logistic
 from .report import (
     PipelineConfig,
+    _logistic_fit_dict,
     _quantize,
     emit_plot_data,
     emit_table,
@@ -82,12 +83,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     payload = {
         "series": {"name": series.name, "n": len(series)},
         "fit": {
-            "a": fit.params.a,
-            "b": fit.params.b,
-            "k": fit.params.k,
+            **_logistic_fit_dict(fit),
             "inflection_time": fit.params.inflection_time,
-            "sse_linearized": fit.sse_linearized,
-            "r2_linearized": fit.r2_linearized,
         },
     }
     if args.format == "json":

@@ -17,11 +17,12 @@ golden-section fallback), seeded with the candidates' own SSEs, until k
 is known to about 1e-9 of its distance from the maximum.  All logarithms
 are natural.
 
-Only the log-odds side of the line fit depends on k.  The times, values,
-maximum, mean time, centred times and their sum of squares are built once
-per fit; each candidate then costs one log pass plus three exactly-rounded
-sums (mean log-odds, cross-product, residual SSE).  The total sum of
-squares, needed only for r², is computed once, at the winning k.
+Only the log-odds side of the line fit depends on k.  The line is fitted
+by ``stats._LineFit``, the least-squares kernel ``ols_simple`` also uses,
+built once per fit on the series' times; each candidate then costs one
+log pass plus the kernel's three exactly-rounded sums (mean log-odds,
+cross-product, residual SSE).  The total sum of squares, needed only for
+r², is computed once, at the winning k.
 
 A long series (``_PARALLEL_MIN_POINTS`` points or more) in a process that
 may use a second CPU and runs no other Python thread splits its search
@@ -43,8 +44,9 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .errors import FittingError, KTooSmall, LevelOutOfRange, NotSShaped
+from .errors import DegenerateX, FittingError, KTooSmall, LevelOutOfRange, NotSShaped
 from .series import FmtSeries
+from .stats import _LineFit
 
 #: Golden-section fraction 2 - phi of Brent's fallback step.
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
@@ -107,9 +109,10 @@ class KSearchConfig:
     factor_max: float = 10.0
 
     def __post_init__(self) -> None:
-        if not self.factor_max > _FLOOR_FACTOR:
+        if not _FLOOR_FACTOR < self.factor_max < math.inf:
             raise ValueError(
-                f"factor_max must exceed {_FLOOR_FACTOR}, got {self.factor_max!r}"
+                f"factor_max must be finite and exceed {_FLOOR_FACTOR}, "
+                f"got {self.factor_max!r}"
             )
 
 
@@ -152,6 +155,11 @@ def solve_time(params: LogisticParams, level: float) -> float:
     return (params.a - math.log((params.k - level) / level)) / params.b
 
 
+def _log_odds(values: tuple[float, ...], k: float) -> list[float]:
+    log = math.log
+    return [log((k - v) / v) for v in values]
+
+
 def linearize(series: FmtSeries, k: float) -> tuple[tuple[float, float], ...]:
     """Log-odds transform: rows of (t, log((k - v) / v)).
 
@@ -162,50 +170,21 @@ def linearize(series: FmtSeries, k: float) -> tuple[tuple[float, float], ...]:
         raise KTooSmall(
             f"k={k!r} must exceed the maximum observed value {series.max_value!r}"
         )
-    return tuple((t, math.log((k - v) / v)) for t, v in series.points)
+    return tuple(zip(series.ts, _log_odds(series.values, k)))
 
 
-class _LineFitContext:
-    """The k-independent parts of the linearized line fit of one series."""
+def _line_fit(
+    line: _LineFit, values: tuple[float, ...], vmax: float, k: float
+) -> tuple[float, float, float]:
+    """(sse, slope, intercept) of the least-squares line through the
+    log-odds at candidate k; ``vmax`` is the maximum of ``values``.
 
-    __slots__ = ("ts", "values", "vmax", "n", "xbar", "dx", "sxx")
-
-    def __init__(self, series: FmtSeries) -> None:
-        self.ts = series.ts
-        self.values = series.values
-        self.vmax = max(self.values)
-        self.n = len(self.ts)
-        self.xbar = math.fsum(self.ts) / self.n
-        self.dx = [t - self.xbar for t in self.ts]
-        self.sxx = math.fsum(d ** 2 for d in self.dx)
-
-    def log_odds(self, k: float) -> list[float]:
-        log = math.log
-        return [log((k - v) / v) for v in self.values]
-
-    def fit(self, k: float) -> tuple[float, float, float]:
-        """(sse, slope, intercept) of the least-squares line through the
-        log-odds at candidate k.
-
-        Candidates not exceeding every observed value are infeasible (infinite
-        SSE) rather than silently dropping the offending points.
-        """
-        if k <= self.vmax:
-            return math.inf, math.nan, math.nan
-        fsum = math.fsum
-        ys = self.log_odds(k)
-        ybar = fsum(ys) / self.n
-        sxy = fsum(d * (y - ybar) for d, y in zip(self.dx, ys))
-        slope = sxy / self.sxx
-        intercept = ybar - slope * self.xbar
-        sse = fsum((y - (intercept + slope * t)) ** 2 for t, y in zip(self.ts, ys))
-        return sse, slope, intercept
-
-    def sst(self, k: float) -> float:
-        """Total sum of squares of the log-odds at k, the base of r²."""
-        ys = self.log_odds(k)
-        ybar = math.fsum(ys) / self.n
-        return math.fsum((y - ybar) ** 2 for y in ys)
+    Candidates not exceeding every observed value are infeasible (infinite
+    SSE) rather than silently dropping the offending points.
+    """
+    if k <= vmax:
+        return math.inf, math.nan, math.nan
+    return line.fit(_log_odds(values, k))[:3]
 
 
 def _brent(
@@ -288,9 +267,11 @@ def _brent(
 _Record = tuple[float, float, float, float]
 
 
-def _line_fits(ctx: _LineFitContext, ks: list[float]) -> list[_Record]:
-    """The line fit of every candidate in ``ks``, in order."""
-    return [(k, *ctx.fit(k)) for k in ks]
+def _line_fits(
+    fit_at: Callable[[float], tuple[float, float, float]], ks: list[float]
+) -> list[_Record]:
+    """The line fit ``fit_at(k)`` of every candidate in ``ks``, in order."""
+    return [(k, *fit_at(k)) for k in ks]
 
 
 def _spare_cpu() -> bool:
@@ -382,37 +363,36 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
     ceiling ``max * factor_max`` bound the search and are not refined.
     The best candidate ever evaluated is returned.
 
-    A series of at least ``_PARALLEL_MIN_POINTS`` points, in a process
-    that may use more than one CPU and runs no other Python thread, has
-    its search split across two processes.  A child forked with
-    ``os.fork`` evaluates the top half of the candidate list while this
-    process evaluates the bottom half.  The basins are refined here once
-    both halves are in.  Every candidate's line fit is then replayed in
-    the serial order (candidates, basins), so the best candidate, its
-    tie-breaking, ``k_search_trace`` and ``sse_evals`` are bit-identical
-    to a search run wholly in this process.  That is also what happens
-    when the split's conditions do not hold, or when ``fork`` fails, the
-    child exits non-zero or its data comes short: this process runs the
-    child's share itself.
+    A series of at least ``_PARALLEL_MIN_POINTS`` points may have its
+    search split across two processes (see the module docstring); the
+    best candidate, its tie-breaking, ``k_search_trace`` and
+    ``sse_evals`` are bit-identical either way.
 
-    The series' times, values, maximum, mean time and centred times are
-    extracted once per call; each candidate k then only linearizes and
-    fits the line (see ``_LineFitContext``).  The total sum of squares
-    behind ``r2_linearized`` is computed once, for the winning k.  Times so
-    large that those sums overflow (about 1e154 and beyond) raise
-    ``FittingError``, as do values whose log-odds overflow at every
+    Times so large that the line fit's sums overflow (about 1e154 and
+    beyond) or so close together that their spread underflows to zero
+    raise ``FittingError``, as do values whose log-odds overflow at every
     candidate k (a maximum of about 1.8e307 or more, or a subnormal value
     beside ordinary ones).
     """
     cfg = KSearchConfig() if search is None else search
     try:
-        ctx = _LineFitContext(series)
+        line = _LineFit(series.ts)
     except OverflowError as exc:
         raise FittingError(
             f"series {series.name!r}: times too large for the line fit "
             "(arithmetic overflow)"
         ) from exc
-    vmax = ctx.vmax
+    except DegenerateX as exc:
+        raise FittingError(
+            f"series {series.name!r}: times too close together for the line "
+            "fit (arithmetic underflow)"
+        ) from exc
+    values = series.values
+    vmax = max(values)
+
+    def fit_at(k: float) -> tuple[float, float, float]:
+        return _line_fit(line, values, vmax, k)
+
     k_lo = vmax * _FLOOR_FACTOR
     k_hi = vmax * cfg.factor_max
     ratio = k_hi / k_lo
@@ -431,12 +411,12 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
     half = len(ks) // 2
 
     def own() -> list[_Record]:
-        return _line_fits(ctx, ks[:half])
+        return _line_fits(fit_at, ks[:half])
 
     def share() -> list[_Record]:
-        return _line_fits(ctx, ks[half:])
+        return _line_fits(fit_at, ks[half:])
 
-    if ctx.n >= _PARALLEL_MIN_POINTS and _spare_cpu():
+    if len(values) >= _PARALLEL_MIN_POINTS and _spare_cpu():
         records = _split(own, share)
     else:
         records = own() + share()
@@ -454,7 +434,7 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
 
     def refine(u: float) -> float:
         k = k_of(u)
-        return keep(k, *ctx.fit(k))
+        return keep(k, *fit_at(k))
 
     for record in records:
         keep(*record)
@@ -484,15 +464,10 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
             f"series {series.name!r}: best linearized slope {slope!r} implies "
             f"non-positive growth rate"
         )
-    sst = ctx.sst(best_k)
-    if sst > 0.0:
-        r2 = min(1.0, max(0.0, 1.0 - sse / sst))
-    else:
-        r2 = 1.0 if sse == 0.0 else 0.0
     return LogisticFit(
         params=LogisticParams(a=intercept, b=b, k=best_k),
         sse_linearized=sse,
-        r2_linearized=r2,
+        r2_linearized=line.r2(_log_odds(values, best_k), sse),
         k_search_trace=tuple(trace),
         sse_evals=evals,
     )

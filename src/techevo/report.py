@@ -176,65 +176,24 @@ def _logistic_fit_dict(fit: LogisticFit) -> dict:
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
-    """Plain-dict form of a report (the JSON layout, before quantization)."""
-    ev = report.evolution
-    pw = report.pathway
-    fits = None
-    if report.logistic_host is not None or report.logistic_sub is not None:
-        fits = {
-            "host": None
-            if report.logistic_host is None
-            else _logistic_fit_dict(report.logistic_host),
-            "sub": None
-            if report.logistic_sub is None
-            else _logistic_fit_dict(report.logistic_sub),
-        }
+    """Plain-dict form of a report (the JSON layout, before quantization).
+
+    The ``inputs``, ``evolution``, ``pathway`` and ``provenance`` blocks
+    are their dataclasses' fields, in field order.
+    """
+    fits = {
+        label: None if fit is None else _logistic_fit_dict(fit)
+        for label, fit in (("host", report.logistic_host), ("sub", report.logistic_sub))
+    }
+    provenance = dict(vars(report.provenance))
+    provenance["config"] = dict(report.provenance.config)
     return {
         "schema_version": SCHEMA_VERSION,
-        "inputs": {
-            "host_file": report.inputs.host_file,
-            "sub_file": report.inputs.sub_file,
-            "host_name": report.inputs.host_name,
-            "sub_name": report.inputs.sub_name,
-            "host_unit": report.inputs.host_unit,
-            "sub_unit": report.inputs.sub_unit,
-            "n_host": report.inputs.n_host,
-            "n_sub": report.inputs.n_sub,
-            "n_aligned": report.inputs.n_aligned,
-            "t_min": report.inputs.t_min,
-            "t_max": report.inputs.t_max,
-        },
-        "logistic_fits": fits,
-        "evolution": {
-            "log_a": ev.log_a,
-            "a": ev.a,
-            "b": ev.b,
-            "se_log_a": ev.se_log_a,
-            "se_b": ev.se_b,
-            "t_b": ev.t_b,
-            "p_b": ev.p_b,
-            "t_b_vs_1": ev.t_b_vs_1,
-            "p_b_vs_1": ev.p_b_vs_1,
-            "r2": ev.r2,
-            "r2_adj": ev.r2_adj,
-            "f_stat": ev.f_stat,
-            "p_f": ev.p_f,
-            "see": ev.see,
-            "n": ev.n,
-        },
-        "pathway": {
-            "label": pw.label,
-            "alpha": pw.alpha,
-            "b_estimate": pw.b_estimate,
-            "p_b_vs_1": pw.p_b_vs_1,
-            "direction": pw.direction,
-        },
-        "provenance": {
-            "tool": report.provenance.tool,
-            "version": report.provenance.version,
-            "config": dict(report.provenance.config),
-            "timestamp": report.provenance.timestamp,
-        },
+        "inputs": dict(vars(report.inputs)),
+        "logistic_fits": fits if any(fits.values()) else None,
+        "evolution": dict(vars(report.evolution)),
+        "pathway": dict(vars(report.pathway)),
+        "provenance": provenance,
     }
 
 

@@ -2,6 +2,12 @@
 Student-t / F tail probabilities via the regularized incomplete beta
 function.
 
+``_LineFit`` is the package's one least-squares line kernel.  It does the
+x-side work once, so the S-curve's k search (``logistic.fit_logistic``)
+fits a line per saturation candidate on the same times through it, and
+``ols_simple``, the log-log regression behind the evolutionary
+coefficient, builds its inference block on the same sums.
+
 Everything here is scalar stdlib arithmetic with exactly-rounded sums
 (``math.fsum``), so identical inputs give bit-identical outputs on any
 platform.  The incomplete beta uses the modified Lentz continued
@@ -51,6 +57,46 @@ def _t_ratio(estimate: float, se: float) -> float:
     return math.copysign(math.inf, estimate)
 
 
+class _LineFit:
+    """Least-squares lines y = intercept + slope * x on one fixed x.
+
+    The x-side work (mean, centred values, sum of squares) is done once, at
+    construction; each ``fit`` then costs three exactly-rounded sums over
+    the y values.  The S-curve's k search fits one line per saturation
+    candidate on the same times, and ``ols_simple`` fits one.
+    """
+
+    __slots__ = ("x", "n", "xbar", "dx", "sxx")
+
+    def __init__(self, x: Sequence[float]) -> None:
+        self.x = x
+        self.n = len(x)
+        self.xbar = math.fsum(x) / self.n
+        self.dx = [xi - self.xbar for xi in x]
+        self.sxx = math.fsum(d ** 2 for d in self.dx)
+        if self.sxx == 0.0:
+            raise DegenerateX("x has zero variance; slope is unidentified")
+
+    def fit(self, y: Sequence[float]) -> tuple[float, float, float, float]:
+        """(sse, slope, intercept, sxy) of the least-squares line through y."""
+        fsum = math.fsum
+        ybar = fsum(y) / self.n
+        sxy = fsum(d * (yi - ybar) for d, yi in zip(self.dx, y))
+        slope = sxy / self.sxx
+        intercept = ybar - slope * self.xbar
+        sse = fsum((yi - (intercept + slope * xi)) ** 2 for xi, yi in zip(self.x, y))
+        return sse, slope, intercept, sxy
+
+    def r2(self, y: Sequence[float], sse: float) -> float:
+        """Coefficient of determination of a line through y with SSE ``sse``,
+        clamped to [0, 1]."""
+        ybar = math.fsum(y) / self.n
+        sst = math.fsum((yi - ybar) ** 2 for yi in y)
+        if sst > 0.0:
+            return min(1.0, max(0.0, 1.0 - sse / sst))
+        return 1.0 if sse == 0.0 else 0.0
+
+
 def ols_simple(x: Sequence[float], y: Sequence[float]) -> OlsCore:
     """Ordinary least squares of y on x with an intercept.
 
@@ -66,29 +112,16 @@ def ols_simple(x: Sequence[float], y: Sequence[float]) -> OlsCore:
 
     x = [float(v) for v in x]
     y = [float(v) for v in y]
-    xbar = math.fsum(x) / n
-    ybar = math.fsum(y) / n
-    sxx = math.fsum((xi - xbar) ** 2 for xi in x)
-    if sxx == 0.0:
-        raise DegenerateX("x has zero variance; slope is unidentified")
-    sxy = math.fsum((xi - xbar) * (yi - ybar) for xi, yi in zip(x, y))
-    sst = math.fsum((yi - ybar) ** 2 for yi in y)
-
-    slope = sxy / sxx
-    intercept = ybar - slope * xbar
+    line = _LineFit(x)
+    sse, slope, intercept, sxy = line.fit(y)
     residuals = tuple(yi - (intercept + slope * xi) for xi, yi in zip(x, y))
-    sse = math.fsum(e * e for e in residuals)
+    r2 = line.r2(y, sse)
     df = n - 2
-
-    if sst > 0.0:
-        r2 = min(1.0, max(0.0, 1.0 - sse / sst))
-    else:
-        r2 = 1.0 if sse == 0.0 else 0.0
     r2_adj = 1.0 - (1.0 - r2) * (n - 1) / df
 
     see = math.sqrt(sse / df)
-    se_slope = see / math.sqrt(sxx)
-    se_intercept = see * math.sqrt(1.0 / n + xbar * xbar / sxx)
+    se_slope = see / math.sqrt(line.sxx)
+    se_intercept = see * math.sqrt(1.0 / n + line.xbar * line.xbar / line.sxx)
 
     # Regression sum of squares as slope * sxy (exact algebraic identity,
     # no catastrophic cancellation when r2 is close to 1).

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -192,6 +195,16 @@ class TestExitCodes:
             assert err.startswith("FittingError: ") and "overflow" in err
             assert "NotSShaped" not in err and "nan" not in err
 
+    def test_underflowing_time_spread_is_a_fitting_error(self, tmp_path, capsys):
+        # The centred squares of these times underflow to zero, so the line
+        # fit's sum of squares is 0 although the times are distinct.
+        close = write_csv(tmp_path / "close.csv", ["0,1", "1e-165,2", "2e-165,3"])
+        for args in (["fit", close], ["report", "--host", close, "--sub", close]):
+            assert main(args) == EXIT_FITTING
+            err = capsys.readouterr().err
+            assert err.startswith("FittingError: ") and "'close'" in err
+        assert main(["evolve", "--host", close, "--sub", close]) == EXIT_OK
+
     def test_estimation_error(self, tmp_path, capsys):
         const = write_csv(tmp_path / "const.csv", ["0,5", "1,5", "2,5"])
         up = write_csv(tmp_path / "up.csv", ["0,1", "1,2", "2,4"])
@@ -203,6 +216,8 @@ class TestExitCodes:
         code = main(["report", "--host", SYNTH[0], "--sub", SYNTH[1], "--alpha", "2"])
         assert code == EXIT_CONFIG
         assert "InvalidAlpha" in capsys.readouterr().err
+        assert main(["fit", SYNTH[0], "--k-search-factor", "inf"]) == EXIT_CONFIG
+        assert "factor_max must be finite" in capsys.readouterr().err
 
     def test_simulate_point_cap(self, tmp_path, capsys):
         host, sub = tmp_path / "h.csv", tmp_path / "s.csv"
@@ -225,3 +240,23 @@ class TestReportDeterminism:
         main(["report", "--host", SYNTH[0], "--sub", SYNTH[1], "--out", str(p2)])
         blank = lambda s: re.sub(r'"timestamp": "[^"]*"', '"timestamp": null', s)
         assert blank(p1.read_text()) == blank(p2.read_text())
+
+
+def test_cli_imports_only_the_standard_library():
+    # -S keeps site-packages' .pth hooks out, so every module loaded is one
+    # the import of techevo.cli pulled in, or the interpreter's own.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, techevo.cli; print(' '.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "techevo.cli" in out
+    foreign = [
+        name
+        for name in out
+        if name != "__main__"
+        and name.split(".")[0] not in sys.stdlib_module_names
+        and name.split(".")[0] != "techevo"
+    ]
+    assert foreign == []

@@ -27,7 +27,6 @@ from techevo import (
 )
 from techevo.errors import FittingError, KTooSmall, LevelOutOfRange, NotSShaped
 from techevo import logistic
-from techevo.logistic import _LineFitContext
 
 params_st = st.builds(
     LogisticParams,
@@ -195,6 +194,8 @@ class TestFitLogistic:
             KSearchConfig(factor_max=1.001)  # must lie above the grid floor
         with pytest.raises(ValueError):
             KSearchConfig(factor_max=float("nan"))
+        with pytest.raises(ValueError, match="finite"):
+            KSearchConfig(factor_max=float("inf"))
 
     def test_wider_search_reaches_distant_saturation(self):
         truth = LogisticParams(0, 0.8, 1000)
@@ -212,13 +213,13 @@ class TestFitLogistic:
 def evaluated_ks(monkeypatch):
     """Every candidate k whose line fit the k search computes, in order."""
     ks = []
-    line_fit = _LineFitContext.fit
+    line_fit = logistic._line_fit
 
-    def record(self, k):
+    def record(line, values, vmax, k):
         ks.append(k)
-        return line_fit(self, k)
+        return line_fit(line, values, vmax, k)
 
-    monkeypatch.setattr(_LineFitContext, "fit", record)
+    monkeypatch.setattr(logistic, "_line_fit", record)
     return ks
 
 
@@ -301,9 +302,8 @@ class TestFitBattery:
         assert fit_battery.battery_digest(outcomes) == BATTERY_DIGEST
 
     def test_search_kernel_matches_ols_simple(self, battery):
-        # The k search's line fit and ols_simple share their coefficient
-        # expressions, so a and b agree exactly; SSE (pow vs product) and
-        # r² (whose SST the search forms only at the winning k) to 1e-12.
+        # The k search and ols_simple fit their lines with the same kernel,
+        # so a, b, SSE and r² agree exactly.
         fitted = [(s, o) for s, o in zip(*battery) if not isinstance(o, str)]
         assert len(fitted) > 150
         for s, fit in fitted:
@@ -311,8 +311,8 @@ class TestFitBattery:
             core = ols_simple([t for t, _ in rows], [y for _, y in rows])
             assert core.slope == -fit.params.b
             assert core.intercept == fit.params.a
-            assert rel_err(core.sse, fit.sse_linearized) <= 1e-12
-            assert rel_err(core.r2, fit.r2_linearized) <= 1e-12
+            assert core.sse == fit.sse_linearized
+            assert core.r2 == fit.r2_linearized
 
     def test_noise_free_recovery(self, battery):
         # Every noise-free battery series lies exactly on its curve, so the
@@ -427,12 +427,12 @@ class TestSplitSearch:
         calls = []
         line_fits = logistic._line_fits
 
-        def recording(ctx, ks):
+        def recording(fit_at, ks):
             if os.getpid() == parent:
                 calls.append(ks)
             else:
                 (tmp_path / "child").write_text(repr(ks))
-            return line_fits(ctx, ks)
+            return line_fits(fit_at, ks)
 
         monkeypatch.setattr(logistic, "_line_fits", recording)
         exact, _ = threshold_series()
@@ -451,11 +451,11 @@ class TestSplitSearch:
         calls = []
         line_fits = logistic._line_fits
 
-        def failing(ctx, ks):
+        def failing(fit_at, ks):
             if os.getpid() != parent:
                 os._exit(exit_code)
             calls.append(ks)
-            return line_fits(ctx, ks)
+            return line_fits(fit_at, ks)
 
         monkeypatch.setattr(logistic, "_line_fits", failing)
         exact, _ = threshold_series()
@@ -472,16 +472,16 @@ class TestSplitSearch:
         parent = os.getpid()
         line_fits = logistic._line_fits
 
-        def slow(ctx, ks):
+        def slow(fit_at, ks):
             if os.getpid() != parent:
                 time.sleep(20)
-            return line_fits(ctx, ks)
+            return line_fits(fit_at, ks)
 
-        def failing(self, k):
+        def failing(line, values, vmax, k):
             raise ArithmeticError("parent share failed")
 
         monkeypatch.setattr(logistic, "_line_fits", slow)
-        monkeypatch.setattr(_LineFitContext, "fit", failing)
+        monkeypatch.setattr(logistic, "_line_fit", failing)
         exact, _ = threshold_series()
         start = time.monotonic()
         with pytest.raises(ArithmeticError, match="parent share failed"):

@@ -144,6 +144,33 @@ class TestSerialization:
         b = d["evolution"]["b"]
         assert b == float(format(b, ".12g"))
 
+    def test_json_keys_in_documented_order(self):
+        # The digest sorts keys, so only this pins the emitted layout.
+        d = json.loads(report_to_json(run_files(SYNTH_HOST, SYNTH_SUB)))
+        assert list(d) == [
+            "schema_version", "inputs", "logistic_fits", "evolution", "pathway",
+            "provenance", "digest",
+        ]
+        assert list(d["inputs"]) == [
+            "host_file", "sub_file", "host_name", "sub_name", "host_unit", "sub_unit",
+            "n_host", "n_sub", "n_aligned", "t_min", "t_max",
+        ]
+        assert list(d["logistic_fits"]) == ["host", "sub"]
+        assert list(d["logistic_fits"]["sub"]) == [
+            "a", "b", "k", "sse_linearized", "r2_linearized",
+        ]
+        assert list(d["evolution"]) == [
+            "log_a", "a", "b", "se_log_a", "se_b", "t_b", "p_b", "t_b_vs_1",
+            "p_b_vs_1", "r2", "r2_adj", "f_stat", "p_f", "see", "n",
+        ]
+        assert list(d["pathway"]) == [
+            "label", "alpha", "b_estimate", "p_b_vs_1", "direction",
+        ]
+        assert list(d["provenance"]) == ["tool", "version", "config", "timestamp"]
+        assert list(d["provenance"]["config"]) == [
+            "alpha", "k_search_factor", "with_logistic",
+        ]
+
     def test_round_trip_preserves_fields(self):
         report = run_files(SYNTH_HOST, SYNTH_SUB)
         back = report_from_json(report_to_json(report))
