@@ -44,7 +44,14 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .errors import DegenerateX, FittingError, KTooSmall, LevelOutOfRange, NotSShaped
+from .errors import (
+    ConfigError,
+    DegenerateX,
+    FittingError,
+    KTooSmall,
+    LevelOutOfRange,
+    NotSShaped,
+)
 from .series import FmtSeries
 from .stats import _LineFit
 
@@ -372,7 +379,9 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
     beyond) or so close together that their spread underflows to zero
     raise ``FittingError``, as do values whose log-odds overflow at every
     candidate k (a maximum of about 1.8e307 or more, or a subnormal value
-    beside ordinary ones).
+    beside ordinary ones).  A ceiling ``max * factor_max`` that overflows
+    although the default factor's would not is the factor's fault and
+    raises ``ConfigError``.
     """
     cfg = KSearchConfig() if search is None else search
     try:
@@ -395,6 +404,12 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
 
     k_lo = vmax * _FLOOR_FACTOR
     k_hi = vmax * cfg.factor_max
+    if k_hi == math.inf and vmax * KSearchConfig.factor_max < math.inf:
+        raise ConfigError(
+            f"series {series.name!r}: k-search factor {cfg.factor_max!r} times "
+            f"the series maximum {vmax!r} overflows; the factor must stay "
+            f"below about {sys.float_info.max / vmax:.6g}"
+        )
     ratio = k_hi / k_lo
     scales = [ratio ** (i / _N_GRID) for i in range(1, _N_GRID + 1)]
     # u = ln(k/max - 1) of each grid candidate, from its exact multiple of max.

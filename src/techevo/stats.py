@@ -9,7 +9,9 @@ fits a line per saturation candidate on the same times through it, and
 coefficient, builds its inference block on the same sums.
 
 Everything here is scalar stdlib arithmetic with exactly-rounded sums
-(``math.fsum``), so identical inputs give bit-identical outputs on any
+(``math.fsum``) and squares taken as products (``x * x``, one IEEE-754
+operation; ``x ** 2`` calls the C library's ``pow``, which need not be
+correctly rounded), so identical inputs give bit-identical outputs on any
 platform.  The incomplete beta uses the modified Lentz continued
 fraction, good to better than 10 significant digits for degrees of
 freedom up to 1e6.
@@ -73,7 +75,9 @@ class _LineFit:
         self.n = len(x)
         self.xbar = math.fsum(x) / self.n
         self.dx = [xi - self.xbar for xi in x]
-        self.sxx = math.fsum(d ** 2 for d in self.dx)
+        self.sxx = math.fsum(d * d for d in self.dx)
+        if self.sxx == math.inf:
+            raise OverflowError("x spread too wide: its sum of squares overflows")
         if self.sxx == 0.0:
             raise DegenerateX("x has zero variance; slope is unidentified")
 
@@ -84,14 +88,14 @@ class _LineFit:
         sxy = fsum(d * (yi - ybar) for d, yi in zip(self.dx, y))
         slope = sxy / self.sxx
         intercept = ybar - slope * self.xbar
-        sse = fsum((yi - (intercept + slope * xi)) ** 2 for xi, yi in zip(self.x, y))
+        sse = fsum((r := yi - (intercept + slope * xi)) * r for xi, yi in zip(self.x, y))
         return sse, slope, intercept, sxy
 
     def r2(self, y: Sequence[float], sse: float) -> float:
         """Coefficient of determination of a line through y with SSE ``sse``,
         clamped to [0, 1]."""
         ybar = math.fsum(y) / self.n
-        sst = math.fsum((yi - ybar) ** 2 for yi in y)
+        sst = math.fsum((d := yi - ybar) * d for yi in y)
         if sst > 0.0:
             return min(1.0, max(0.0, 1.0 - sse / sst))
         return 1.0 if sse == 0.0 else 0.0

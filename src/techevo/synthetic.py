@@ -23,12 +23,34 @@ RNG contract (language-independent)
 ``generate_pair`` draws the host's deviates first, then the subsystem's.
 Deviates are clamped to [-5, 5] so generated values always stay inside
 (0, k * exp(5 * noise_sigma)).
+
+Batch draws
+-----------
+``SplitMix64.normals`` computes the same stream many draws at a time,
+because draw i (counting from 1) of a generator in state s mixes only
+s + i * gamma (mod 2**64).  Up to ``_LANES`` draws are packed into one
+Python int as 64-bit lanes that alternate with 64-bit zero words.  The
+word above a lane takes the carry of the state addition and the high half
+of each 64 x 64-bit product; the word below takes the bits a right shift
+carries out of it.  Masking every lane back to 64 bits after the
+addition, before and after each multiply and before the last shift keeps
+the lanes independent, so one big-int add, shift, XOR, multiply or mask
+advances every draw at once; the uniforms' ``(x >> 11) + 1`` is taken in
+the lanes too.  Pack and unpack go
+through ``array("Q")`` in the host's native byte order (``sys.byteorder``),
+with lane j at array index 2j and a zero word at 2j + 1.  On a big-endian
+host array index 0 lands at the most significant end instead of the
+least, but lanes and zero words still alternate, and unpacking in the same
+order returns the lanes in draw order.  The contract above is unchanged:
+``normals(n)`` returns exactly what n calls of ``normal`` return.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import EmptyEarlyPhase
 from .logistic import LogisticParams, logistic_value
@@ -38,6 +60,9 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+#: Draws ``SplitMix64.normals`` packs into one big int; even, so that every
+#: batch holds whole (u1, u2) pairs.
+_LANES = 4096
 #: Largest series ``generate_pair`` builds; far past any real measure history.
 _MAX_POINTS = 1_000_000
 
@@ -66,6 +91,52 @@ class SplitMix64:
         u1 = self.uniform()
         u2 = self.uniform()
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+    def normals(self, count: int) -> list[float]:
+        """``count`` standard normal deviates: bit for bit the values of
+        ``count`` calls of ``normal``, leaving the state where those calls
+        leave it.  The draws are mixed ``_LANES`` at a time in packed lanes
+        (see the module docstring), and each batch becomes normals before
+        the next is drawn.
+        """
+        if count <= 0:
+            return []
+        from array import array  # imported here to keep CLI start-up lean
+
+        sqrt, log, cos = math.sqrt, math.log, math.cos
+        two_pi = 2.0 * math.pi
+        ulp = 2.0 ** -53
+        draws = 2 * count
+        size = min(draws, _LANES)
+        ones = _pack([1] * size)
+        mask = ones * _MASK64
+        steps = _pack(range(1, size + 1)) * _GAMMA
+        out: list[float] = []
+        for start in range(0, draws, size):
+            z = (ones * ((self._state + start * _GAMMA) & _MASK64) + steps) & mask
+            z = (((z ^ (z >> 30)) & mask) * _MIX1) & mask
+            z = (((z ^ (z >> 27)) & mask) * _MIX2) & mask
+            # The uniforms' (x >> 11) + 1, still in every lane at once.
+            z = (((z ^ (z >> 31)) & mask) >> 11) + ones
+            words = array("Q")
+            words.frombytes(z.to_bytes(16 * size, sys.byteorder))
+            # The last batch may fill fewer lanes than it mixed.
+            end = 2 * min(size, draws - start)
+            out += [
+                sqrt(-2.0 * log(a * ulp)) * cos(two_pi * (b * ulp))
+                for a, b in zip(words[0:end:4], words[2:end:4])
+            ]
+        self._state = (self._state + draws * _GAMMA) & _MASK64
+        return out
+
+
+def _pack(lanes: Sequence[int]) -> int:
+    """One big int holding each value as a lane, in ``normals``' layout."""
+    from array import array
+
+    words = array("Q", bytes(16 * len(lanes)))
+    words[0::2] = array("Q", lanes)
+    return int.from_bytes(words, sys.byteorder)
 
 
 @dataclass(frozen=True)
@@ -101,11 +172,11 @@ def _noisy_values(
     values = [logistic_value(params, t) for t in ts]
     if sigma == 0.0:
         return values
-    out = []
-    for v in values:
-        z = max(-5.0, min(5.0, rng.normal()))
-        out.append(v * math.exp(sigma * z))
-    return out
+    exp = math.exp
+    return [
+        v * exp(sigma * (-5.0 if z < -5.0 else 5.0 if z > 5.0 else z))
+        for v, z in zip(values, rng.normals(len(ts)))
+    ]
 
 
 def generate_pair(spec: SyntheticSpec) -> AlignedPair:

@@ -219,6 +219,15 @@ class TestExitCodes:
         assert main(["fit", SYNTH[0], "--k-search-factor", "inf"]) == EXIT_CONFIG
         assert "factor_max must be finite" in capsys.readouterr().err
 
+    def test_overflowing_search_ceiling_is_a_config_error(self, capsys):
+        # max * factor overflows although the default factor's ceiling
+        # would not: the option is at fault, not the data.
+        assert main(["fit", SYNTH[0], "--k-search-factor", "1e307"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError: ") and "1e+307" in err
+        assert "99.998" in err  # the series maximum
+        assert main(["fit", SYNTH[0], "--k-search-factor", "1e300"]) == EXIT_OK
+
     def test_simulate_point_cap(self, tmp_path, capsys):
         host, sub = tmp_path / "h.csv", tmp_path / "s.csv"
         args = ["simulate", "--out-host", str(host), "--out-sub", str(sub)]

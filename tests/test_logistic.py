@@ -287,7 +287,7 @@ fit_battery = _load_fit_battery()
 
 # Recorded with scripts/fit_battery.py; any change to a fitted bit, a
 # search trace or a raised error type changes it.
-BATTERY_DIGEST = "1738664b290d8aa62aafc5cc6d4f35449bde14596d63c9bbf8ad7f51ff48c22b"
+BATTERY_DIGEST = "cea648c2c688b83b31a00d8aff994ef977712fb3b6d2b05eb42d7504412bef0f"
 
 
 @pytest.fixture(scope="module")

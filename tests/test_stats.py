@@ -18,6 +18,7 @@ from techevo import (
     t_two_sided_p,
 )
 from techevo.errors import DegenerateX, LengthMismatch, TooFewPoints
+from techevo.stats import _LineFit
 
 
 class TestOlsSimple:
@@ -89,6 +90,19 @@ class TestOlsSimple:
             y = [0.4 + 1.1 * xi + 0.3 * (rng.uniform() - 0.5) for xi in x]
             c = ols_simple(x, y)
             assert rel_err(c.f_stat, c.t_slope**2) < 1e-8
+
+
+    def test_line_fit_squares_by_multiplication(self):
+        # x ** 2 goes through the C library's pow, which need not be
+        # correctly rounded; x * x is one IEEE-754 product everywhere.
+        x = [0.0, 1.0, 2.0, 3.0]
+        y = [0.6885526833201705, 0.09112051263863241, 0.5639483797158562, 0.6161450881383045]
+        sse, slope, intercept, _ = _LineFit(x).fit(y)
+        residuals = [yi - (intercept + slope * xi) for xi, yi in zip(x, y)]
+        # The data tell the two squarings apart, so the check below bites.
+        assert any(r ** 2 != r * r for r in residuals)
+        assert math.fsum(r ** 2 for r in residuals) != math.fsum(r * r for r in residuals)
+        assert sse == math.fsum(r * r for r in residuals)
 
 
 class TestStudentT:

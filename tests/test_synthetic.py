@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -12,10 +13,12 @@ from techevo import (
     estimate_evolution,
     fit_logistic,
     generate_pair,
+    logistic_value,
     relation_constant,
     serialize_fmt_csv,
     solve_time,
 )
+from techevo.cli import EXIT_OK, main
 from techevo.errors import EmptyEarlyPhase
 from techevo.synthetic import _MAX_POINTS
 
@@ -64,6 +67,56 @@ class TestSplitMix64:
         var = sum((z - mean) ** 2 for z in zs) / len(zs)
         assert abs(mean) < 0.05
         assert abs(var - 1.0) < 0.08
+
+
+class TestBatchStream:
+    """``SplitMix64.normals`` against the scalar stream it must reproduce."""
+
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 8193])
+    def test_normals_equal_scalar_calls(self, seed, count):
+        batch, scalar = SplitMix64(seed), SplitMix64(seed)
+        zs = batch.normals(count)
+        expected = [scalar.normal() for _ in range(count)]
+        assert [z.hex() for z in zs] == [z.hex() for z in expected]
+        # The state is left where the scalar calls leave it.
+        assert batch.next_u64() == scalar.next_u64()
+
+    def test_no_normals(self):
+        r = SplitMix64(5)
+        assert r.normals(0) == []
+        assert r.next_u64() == SplitMix64(5).next_u64()
+
+    def test_clamp_fires(self):
+        # Normal 2477 of seed 223 lies beyond the clamp, so that host value
+        # carries exactly exp(5 * sigma) of noise.
+        z = SplitMix64(223).normals(2478)[2477]
+        assert z > 5.0
+        pair = generate_pair(spec(n_points=2478, noise_sigma=0.05, seed=223))
+        t, v = pair.host.points[2477]
+        assert v == logistic_value(HOST, t) * math.exp(0.05 * 5.0)
+
+    # SHA-256 of the host and sub CSVs ``simulate --n-points 10000
+    # --noise-sigma 0.05`` writes, recorded from the scalar stream.
+    SIMULATE_DIGESTS = {
+        1: (
+            "82d4611cb9f31b3447e2f5a190333dd8aa4072c7f5b0055bb04b9aec34b4a1c7",
+            "557ace940d618d64c9e74eba1cd042f4505b88f79eb66949292df7336429c670",
+        ),
+        223: (
+            "f69e50adcd7c9d0de12d34f84bbb6c88869277ac9da193eb2670110394b40584",
+            "3805a16517d227535f4b97ec4aeb01f88ce55a0f4ee96f79105c23201b19ba4f",
+        ),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(SIMULATE_DIGESTS))
+    def test_simulate_digests_pinned(self, seed, tmp_path, capsys):
+        host, sub = tmp_path / "h.csv", tmp_path / "s.csv"
+        args = ["simulate", "--n-points", "10000", "--noise-sigma", "0.05"]
+        args += ["--seed", str(seed), "--out-host", str(host), "--out-sub", str(sub)]
+        assert main(args) == EXIT_OK
+        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (host, sub))
+        assert digests == self.SIMULATE_DIGESTS[seed]
 
 
 class TestGeneratePair:
