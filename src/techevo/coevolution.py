@@ -81,23 +81,16 @@ def estimate_evolution(pair: AlignedPair) -> EvolutionFit:
     x = [math.log(h) for h in pair.host_values]
     y = [math.log(p) for p in pair.sub_values]
     core = ols_simple(x, y)
-    t_b_vs_1 = _t_ratio(core.slope - 1.0, core.se_slope)
-    return EvolutionFit(
-        log_a=core.intercept,
-        a=math.exp(core.intercept),
+    return evolution_fit_from_summary(
         b=core.slope,
-        se_log_a=core.se_intercept,
         se_b=core.se_slope,
-        t_b=core.t_slope,
-        p_b=t_two_sided_p(core.t_slope, core.df),
-        t_b_vs_1=t_b_vs_1,
-        p_b_vs_1=t_two_sided_p(t_b_vs_1, core.df),
+        n=core.n,
+        log_a=core.intercept,
+        se_log_a=core.se_intercept,
         r2=core.r2,
         r2_adj=core.r2_adj,
         f_stat=core.f_stat,
-        p_f=f_sf(core.f_stat, 1, core.df),
         see=core.see,
-        n=core.n,
     )
 
 
@@ -112,7 +105,8 @@ def evolution_fit_from_summary(
     f_stat: float | None = None,
     see: float = 0.0,
 ) -> EvolutionFit:
-    """Build a fit from published summary numbers (no underlying data).
+    """Build a fit from regression summary numbers: a published table's, or
+    the OLS that ``estimate_evolution`` runs.
 
     t and p statistics are derived from the coefficients and SEs given.
     Published tables are rounded, so no cross-field identity (such as

@@ -21,19 +21,23 @@ Only the log-odds side of the line fit depends on k.  The line is fitted
 by ``stats._LineFit``, the least-squares kernel ``ols_simple`` also uses,
 built once per fit on the series' times; each candidate then costs one
 log pass plus the kernel's three exactly-rounded sums (mean log-odds,
-cross-product, residual SSE).  The total sum of squares, needed only for
-r², is computed once, at the winning k.
+cross-product, residual SSE).  The search carries one SSE per
+candidate; the winner's line is refitted once, at the end, for its slope
+and intercept, and the total sum of squares behind r² is computed from
+the same log-odds.
 
 A long series (``_PARALLEL_MIN_POINTS`` points or more) in a process that
 may use a second CPU and runs no other Python thread splits its search
 across two processes.  No candidate's SSE depends on another's, so a
 child forked with ``os.fork`` evaluates the top half of the list while
 this process evaluates the bottom half; the basins are refined here once
-both are in.  The child's line fits come back over a pipe as native
-doubles, and every fit is replayed in the serial order, so the result is
-bit-identical to the in-process search.  Shorter series, a single usable CPU, another running
-thread, a failed fork, a child that exits non-zero or one whose data comes
-short all run the whole search in this process, through the same code.
+both are in.  The child's SSEs come back over a pipe, one native double
+per candidate, and are scanned with this process's own in candidate
+order, so the result is bit-identical to the in-process search.  Shorter
+series, a single usable CPU, another running thread, a failed fork, a
+child that exits non-zero or one that sends other than one double per
+candidate all run the whole search in this process, through the same
+code.
 """
 
 from __future__ import annotations
@@ -129,8 +133,9 @@ class LogisticFit:
 
     ``k_search_trace`` records (k candidate, SSE) for every floor and grid
     candidate and, last, the refined optimum actually returned.
-    ``sse_evals`` counts the candidates whose line fit the search computed,
-    the floor and grid candidates included.
+    ``sse_evals`` counts the candidates whose SSE the search computed, the
+    floor and grid candidates included; the one refit of the winner's line
+    for its slope and intercept is not counted.
     """
 
     params: LogisticParams
@@ -180,18 +185,16 @@ def linearize(series: FmtSeries, k: float) -> tuple[tuple[float, float], ...]:
     return tuple(zip(series.ts, _log_odds(series.values, k)))
 
 
-def _line_fit(
-    line: _LineFit, values: tuple[float, ...], vmax: float, k: float
-) -> tuple[float, float, float]:
-    """(sse, slope, intercept) of the least-squares line through the
-    log-odds at candidate k; ``vmax`` is the maximum of ``values``.
+def _line_fit(line: _LineFit, values: tuple[float, ...], vmax: float, k: float) -> float:
+    """SSE of the least-squares line through the log-odds at candidate k;
+    ``vmax`` is the maximum of ``values``.
 
     Candidates not exceeding every observed value are infeasible (infinite
     SSE) rather than silently dropping the offending points.
     """
     if k <= vmax:
-        return math.inf, math.nan, math.nan
-    return line.fit(_log_odds(values, k))[:3]
+        return math.inf
+    return line.fit(_log_odds(values, k))[0]
 
 
 def _brent(
@@ -270,17 +273,6 @@ def _brent(
                 v, fv = u, fu
 
 
-#: One candidate's line fit as (k, sse, slope, intercept).
-_Record = tuple[float, float, float, float]
-
-
-def _line_fits(
-    fit_at: Callable[[float], tuple[float, float, float]], ks: list[float]
-) -> list[_Record]:
-    """The line fit ``fit_at(k)`` of every candidate in ``ks``, in order."""
-    return [(k, *fit_at(k)) for k in ks]
-
-
 def _spare_cpu() -> bool:
     """Whether a forked child could run on a CPU beside this process.
 
@@ -297,16 +289,18 @@ def _spare_cpu() -> bool:
 
 
 def _split(
-    own: Callable[[], list[_Record]], share: Callable[[], list[_Record]]
-) -> list[_Record]:
-    """``own() + share()``, with ``share`` run in a forked child while this
-    process runs ``own``.
+    sse_at: Callable[[float], float], own_ks: list[float], share_ks: list[float]
+) -> list[float]:
+    """``sse_at(k)`` for every k of ``own_ks + share_ks``, in order, with
+    ``share_ks`` evaluated in a forked child while this process evaluates
+    ``own_ks``.
 
-    The child sends its record count, then its records, as native doubles
-    over a pipe and leaves with ``os._exit``.  When no child can be
-    started, or it exits non-zero or its data comes short, this process
-    runs ``share`` itself.  No child outlives the call: if ``own`` raises,
-    the child is killed and reaped before the exception propagates.
+    The child sends its SSEs as native doubles over a pipe and leaves with
+    ``os._exit``.  When no child can be started, or it exits non-zero or
+    sends other than one double per candidate, this process evaluates
+    ``share_ks`` itself.  No child outlives the call: if evaluating
+    ``own_ks`` raises, the child is killed and reaped before the exception
+    propagates.
     """
     import signal
     from array import array
@@ -318,38 +312,31 @@ def _split(
     except OSError:
         for fd in fds:
             os.close(fd)
-        return own() + share()
+        return [sse_at(k) for k in own_ks + share_ks]
     r, w = fds
     if pid == 0:  # the child: never returns into the caller's frames
         code = 1
         try:
             os.close(r)
-            records = share()
-            payload = array("d", [len(records)])
-            for record in records:
-                payload.extend(record)
+            sses = array("d", [sse_at(k) for k in share_ks])
             with open(w, "wb") as pipe:
-                pipe.write(payload.tobytes())
+                pipe.write(sses.tobytes())
             code = 0
         finally:
             os._exit(code)
     os.close(w)
     try:
         with open(r, "rb") as pipe:
-            mine = own()
+            mine = [sse_at(k) for k in own_ks]
             data = pipe.read()
     except BaseException:
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
         _, status = os.waitpid(pid, 0)
-    values = array("d")
-    if status == 0 and len(data) % values.itemsize == 0:
-        values.frombytes(data)
-    if not values or len(values) != 1 + 4 * values[0]:
-        return mine + share()
-    flat = iter(values[1:])
-    return mine + list(zip(flat, flat, flat, flat))
+    if status == 0 and len(data) == 8 * len(share_ks):
+        return mine + array("d", data).tolist()
+    return mine + [sse_at(k) for k in share_ks]
 
 
 def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> LogisticFit:
@@ -368,7 +355,10 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
     from the three candidates around it, whose SSEs the search already
     holds, so its first step is parabolic.  The first candidate and the
     ceiling ``max * factor_max`` bound the search and are not refined.
-    The best candidate ever evaluated is returned.
+    The best candidate ever evaluated is returned: the SSEs are scanned
+    in evaluation order with a strict ``<``, so the first lowest wins and
+    a nan never does, and only the winner's line is refitted, for its
+    slope and intercept.
 
     A series of at least ``_PARALLEL_MIN_POINTS`` points may have its
     search split across two processes (see the module docstring); the
@@ -377,11 +367,12 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
 
     Times so large that the line fit's sums overflow (about 1e154 and
     beyond) or so close together that their spread underflows to zero
-    raise ``FittingError``, as do values whose log-odds overflow at every
-    candidate k (a maximum of about 1.8e307 or more, or a subnormal value
-    beside ordinary ones).  A ceiling ``max * factor_max`` that overflows
-    although the default factor's would not is the factor's fault and
-    raises ``ConfigError``.
+    raise ``FittingError``, as do a maximum so large that the default
+    ceiling ``max * 10`` overflows (about 1.8e307 or more; no candidate is
+    evaluated) and values whose log-odds overflow at every candidate k (a
+    subnormal value beside ordinary ones).  A ceiling ``max * factor_max``
+    that overflows although the default factor's would not is the factor's
+    fault and raises ``ConfigError``.
     """
     cfg = KSearchConfig() if search is None else search
     try:
@@ -399,16 +390,22 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
     values = series.values
     vmax = max(values)
 
-    def fit_at(k: float) -> tuple[float, float, float]:
+    def sse_at(k: float) -> float:
         return _line_fit(line, values, vmax, k)
 
     k_lo = vmax * _FLOOR_FACTOR
     k_hi = vmax * cfg.factor_max
-    if k_hi == math.inf and vmax * KSearchConfig.factor_max < math.inf:
-        raise ConfigError(
-            f"series {series.name!r}: k-search factor {cfg.factor_max!r} times "
-            f"the series maximum {vmax!r} overflows; the factor must stay "
-            f"below about {sys.float_info.max / vmax:.6g}"
+    if k_hi == math.inf:
+        if vmax * KSearchConfig.factor_max < math.inf:
+            raise ConfigError(
+                f"series {series.name!r}: k-search factor {cfg.factor_max!r} times "
+                f"the series maximum {vmax!r} overflows; the factor must stay "
+                f"below about {sys.float_info.max / vmax:.6g}"
+            )
+        raise FittingError(
+            f"series {series.name!r}: the series maximum {vmax!r} is too large "
+            f"for the k-search ceiling max * factor, factor {cfg.factor_max!r} "
+            "(arithmetic overflow)"
         )
     ratio = k_hi / k_lo
     scales = [ratio ** (i / _N_GRID) for i in range(1, _N_GRID + 1)]
@@ -424,37 +421,26 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
     ks = [k_of(u) for u in us] + [k_lo * scale for scale in scales[:-1]] + [k_hi]
     us += grid_us
     half = len(ks) // 2
-
-    def own() -> list[_Record]:
-        return _line_fits(fit_at, ks[:half])
-
-    def share() -> list[_Record]:
-        return _line_fits(fit_at, ks[half:])
-
     if len(values) >= _PARALLEL_MIN_POINTS and _spare_cpu():
-        records = _split(own, share)
+        sses = _split(sse_at, ks[:half], ks[half:])
     else:
-        records = own() + share()
+        sses = [sse_at(k) for k in ks]
 
-    best_k = math.nan
-    best = (math.inf, math.nan, math.nan)
-    evals = 0
-
-    def keep(k: float, sse: float, slope: float, intercept: float) -> float:
-        nonlocal best_k, best, evals
-        evals += 1
-        if sse < best[0]:
-            best_k, best = k, (sse, slope, intercept)
-        return sse
+    # Strict <: the first lowest SSE wins, and a nan never does.
+    best_sse, best_k = math.inf, math.nan
+    for k, sse in zip(ks, sses):
+        if sse < best_sse:
+            best_sse, best_k = sse, k
+    evals = len(ks)
 
     def refine(u: float) -> float:
+        nonlocal best_sse, best_k, evals
         k = k_of(u)
-        return keep(k, *fit_at(k))
-
-    for record in records:
-        keep(*record)
-    sses = [sse for _, sse, _, _ in records]
-    trace = list(zip(ks, sses))
+        sse = sse_at(k)
+        evals += 1
+        if sse < best_sse:
+            best_sse, best_k = sse, k
+        return sse
 
     # Each interior local minimum is refined in u; the first candidate and
     # the last one, the ceiling, bound the search and are never refined.  A
@@ -466,13 +452,15 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
             second, third = (left, right) if left[1] <= right[1] else (right, left)
             _brent(refine, left[0], right[0], (us[i], sses[i]), second, third)
 
-    sse, slope, intercept = best
-    if sse == math.inf:
+    if best_sse == math.inf:
         raise FittingError(
             f"series {series.name!r}: the log-odds overflow at every saturation "
             "candidate (arithmetic overflow), so no line can be fitted"
         )
-    trace.append((best_k, sse))
+    # The winner's line, refitted: the same computation on the same log-odds
+    # as its evaluation, so it reproduces best_sse bit for bit.
+    log_odds = _log_odds(values, best_k)
+    _, slope, intercept, _ = line.fit(log_odds)
     b = -slope
     if not b > 0.0:
         raise NotSShaped(
@@ -481,8 +469,8 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
         )
     return LogisticFit(
         params=LogisticParams(a=intercept, b=b, k=best_k),
-        sse_linearized=sse,
-        r2_linearized=line.r2(_log_odds(values, best_k), sse),
-        k_search_trace=tuple(trace),
+        sse_linearized=best_sse,
+        r2_linearized=line.r2(log_odds, best_sse),
+        k_search_trace=(*zip(ks, sses), (best_k, best_sse)),
         sse_evals=evals,
     )

@@ -185,15 +185,19 @@ class TestExitCodes:
         assert main(["evolve", "--host", huge, "--sub", huge]) == EXIT_OK
 
     def test_log_odds_overflow_is_a_fitting_error(self, tmp_path, capsys):
-        # A maximum near 1.8e307 makes every candidate k overflow; a
-        # subnormal value beside ordinary ones makes its log-odds overflow.
+        # A maximum near 1.8e307 makes the search ceiling max * 10 overflow;
+        # a subnormal value beside ordinary ones makes its log-odds overflow.
         huge = write_csv(tmp_path / "huge.csv", ["0,1e307", "1,2e307", "2,3e307"])
         tiny = write_csv(tmp_path / "tiny.csv", ["0,5e-324", "1,1", "2,2"])
+        errs = []
         for path in (huge, tiny):
             assert main(["fit", path]) == EXIT_FITTING
             err = capsys.readouterr().err
             assert err.startswith("FittingError: ") and "overflow" in err
             assert "NotSShaped" not in err and "nan" not in err
+            errs.append(err)
+        assert "maximum 3e+307 is too large for the k-search ceiling" in errs[0]
+        assert "log-odds overflow at every saturation candidate" in errs[1]
 
     def test_underflowing_time_spread_is_a_fitting_error(self, tmp_path, capsys):
         # The centred squares of these times underflow to zero, so the line

@@ -1,5 +1,4 @@
 
-import ast
 import importlib.util
 import math
 import os
@@ -425,63 +424,77 @@ class TestSplitSearch:
         # fits the first 40, the forked child the last 40.
         parent = os.getpid()
         calls = []
-        line_fits = logistic._line_fits
+        line_fit = logistic._line_fit
+        child_ks = tmp_path / "child"
 
-        def recording(fit_at, ks):
+        def recording(line, values, vmax, k):
             if os.getpid() == parent:
-                calls.append(ks)
+                calls.append(k)
             else:
-                (tmp_path / "child").write_text(repr(ks))
-            return line_fits(fit_at, ks)
+                with open(child_ks, "a") as f:
+                    f.write(f"{k!r}\n")
+            return line_fit(line, values, vmax, k)
 
-        monkeypatch.setattr(logistic, "_line_fits", recording)
+        monkeypatch.setattr(logistic, "_line_fit", recording)
         exact, _ = threshold_series()
         fit = fit_logistic(exact)
         candidates = [k for k, _ in fit.k_search_trace[:-1]]
         assert len(candidates) == 80 and len(split) == 1
-        assert calls == [candidates[:40]]
-        assert ast.literal_eval((tmp_path / "child").read_text()) == candidates[40:]
+        # After its own 40, this process only refines basins.
+        assert calls[:40] == candidates[:40]
+        assert len(calls) == fit.sse_evals - 40
+        assert [float(k) for k in child_ks.read_text().split()] == candidates[40:]
         assert_no_child_left()
 
-    @pytest.mark.parametrize("exit_code", [3, 0])
-    def test_failed_child_share_is_recomputed(self, monkeypatch, split, exit_code):
-        # A child that exits non-zero, or exits 0 before sending its data,
-        # leaves its share to this process, which runs it exactly once.
+    @pytest.mark.parametrize("failure", [3, 0, "padded"])
+    def test_failed_child_share_is_recomputed(self, monkeypatch, split, failure):
+        # A child that exits non-zero, exits 0 before sending its data, or
+        # sends more than one double per candidate (here an extra 0.0 per
+        # candidate, ahead of its SSEs; a 0.0 would win) leaves its share to
+        # this process, which runs it exactly once.
         parent = os.getpid()
         calls = []
-        line_fits = logistic._line_fits
+        line_fit = logistic._line_fit
+        pipes = []
+        pipe = os.pipe
 
-        def failing(fit_at, ks):
-            if os.getpid() != parent:
-                os._exit(exit_code)
-            calls.append(ks)
-            return line_fits(fit_at, ks)
+        def recording_pipe():
+            pipes.append(pipe())
+            return pipes[-1]
 
-        monkeypatch.setattr(logistic, "_line_fits", failing)
+        def failing(line, values, vmax, k):
+            if os.getpid() == parent:
+                calls.append(k)
+            elif failure == "padded":
+                os.write(pipes[-1][1], bytes(8))
+            else:
+                os._exit(failure)
+            return line_fit(line, values, vmax, k)
+
+        monkeypatch.setattr(os, "pipe", recording_pipe)
+        monkeypatch.setattr(logistic, "_line_fit", failing)
         exact, _ = threshold_series()
         fit = fit_logistic(exact)
         candidates = [k for k, _ in fit.k_search_trace[:-1]]
         assert len(split) == 1
-        assert calls == [candidates[:40], candidates[40:]]
-        monkeypatch.setattr(logistic, "_line_fits", line_fits)
+        assert calls[:80] == candidates
+        assert len(calls) == fit.sse_evals
+        monkeypatch.setattr(logistic, "_line_fit", line_fit)
         assert fit == in_process_fit(monkeypatch, exact)
         assert_no_child_left()
 
     def test_child_is_killed_when_own_share_raises(self, monkeypatch, split):
         # The child would take 20 s; it is killed, not waited for.
         parent = os.getpid()
-        line_fits = logistic._line_fits
+        line_fit = logistic._line_fit
 
-        def slow(fit_at, ks):
-            if os.getpid() != parent:
-                time.sleep(20)
-            return line_fits(fit_at, ks)
+        def slow_or_failing(line, values, vmax, k):
+            if os.getpid() == parent:
+                raise ArithmeticError("parent share failed")
+            time.sleep(20)
+            return line_fit(line, values, vmax, k)
 
-        def failing(line, values, vmax, k):
-            raise ArithmeticError("parent share failed")
-
-        monkeypatch.setattr(logistic, "_line_fits", slow)
-        monkeypatch.setattr(logistic, "_line_fit", failing)
+        monkeypatch.setattr(logistic, "_line_fit", slow_or_failing)
         exact, _ = threshold_series()
         start = time.monotonic()
         with pytest.raises(ArithmeticError, match="parent share failed"):
