@@ -26,24 +26,20 @@ candidate; the winner's line is refitted once, at the end, for its slope
 and intercept, and the total sum of squares behind r² is computed from
 the same log-odds.
 
-A long series (``_PARALLEL_MIN_POINTS`` points or more) in a process that
-may use a second CPU and runs no other Python thread splits its search
-across two processes.  No candidate's SSE depends on another's, so a
-child forked with ``os.fork`` evaluates the top half of the list while
-this process evaluates the bottom half; the basins are refined here once
-both are in.  The child's SSEs come back over a pipe, one native double
-per candidate, and are scanned with this process's own in candidate
-order, so the result is bit-identical to the in-process search.  Shorter
-series, a single usable CPU, another running thread, a failed fork, a
-child that exits non-zero or one that sends other than one double per
-candidate all run the whole search in this process, through the same
-code.
+The candidate scan only has to find the basins.  A long series (at least
+``2 * _SCAN_POINTS`` points) is scanned on a fixed-stride subsample: every
+``len // _SCAN_POINTS``-th point plus the point holding the maximum, with
+its own ``_LineFit``.  Everything after the scan uses all the data: the
+first and the ceiling candidates are re-evaluated, each basin of the scan
+has its three candidates re-evaluated and steps one candidate downhill
+until its middle is lowest, Brent refines it, and the lowest full-data
+SSE wins.  A shorter series is scanned on all its points, so its scan
+SSEs are its full-data SSEs and nothing is re-evaluated.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -94,9 +90,9 @@ _N_FLOOR = 16
 _FLOOR_GAP = 1e-15
 #: Brent refinement stops once its bracket in u is no wider than this.
 _U_TOL = 1e-9
-#: Series with at least this many points split their k search across two
-#: processes when a second CPU is usable; smaller ones search in-process.
-_PARALLEL_MIN_POINTS = 500
+#: A series of n >= 2 * _SCAN_POINTS points is scanned on every
+#: (n // _SCAN_POINTS)-th point plus its maximum's; shorter ones on all.
+_SCAN_POINTS = 512
 
 
 @dataclass(frozen=True)
@@ -107,14 +103,17 @@ class KSearchConfig:
     with u evenly spaced from ln(``_FLOOR_GAP``) up to, and excluding, the
     first grid candidate's u = ln(k/max - 1), then ``_N_GRID`` geometric
     grid candidates over ``(max * _FLOOR_FACTOR, max * factor_max]``, the
-    last one exactly ``max * factor_max``.  Each interior local minimum is
-    refined by Brent's method in u until its bracket in u is no wider than
-    ``_U_TOL``; as dk/du = k - max, that pins k to within about
-    ``_U_TOL * (k - max)``.  A minimum at the ceiling is not refined:
-    nothing above it is searched, so it brackets no interior minimum.  The
-    grid stays geometric above ``max * _FLOOR_FACTOR`` because steps even
-    in u grow with k and would miss a saturation level several times the
-    data's maximum.
+    last one exactly ``max * factor_max``.  A series of at least
+    ``2 * _SCAN_POINTS`` points has these candidates scanned on a
+    fixed-stride subsample; each basin the scan finds is moved to a local
+    minimum of the full-data SSEs before it is refined.  Each interior
+    local minimum is refined by Brent's method in u, on all the data, until
+    its bracket in u is no wider than ``_U_TOL``; as dk/du = k - max, that
+    pins k to within about ``_U_TOL * (k - max)``.  A minimum at the
+    ceiling is not refined: nothing above it is searched, so it brackets
+    no interior minimum.  The grid stays geometric above
+    ``max * _FLOOR_FACTOR`` because steps even in u grow with k and would
+    miss a saturation level several times the data's maximum.
     """
 
     factor_max: float = 10.0
@@ -131,11 +130,14 @@ class KSearchConfig:
 class LogisticFit:
     """Fitted parameters plus linearized-regression diagnostics.
 
-    ``k_search_trace`` records (k candidate, SSE) for every floor and grid
-    candidate and, last, the refined optimum actually returned.
-    ``sse_evals`` counts the candidates whose SSE the search computed, the
-    floor and grid candidates included; the one refit of the winner's line
-    for its slope and intercept is not counted.
+    ``k_search_trace`` records (k candidate, scan SSE) for every floor and
+    grid candidate and, last, the refined optimum actually returned with
+    its full-data SSE.  On a subsampled series (see ``KSearchConfig``) the
+    candidates' SSEs are those of the subsample; on a shorter one they are
+    full-data SSEs.  ``sse_evals`` counts every SSE the search computed:
+    the scan's, the full-data re-evaluations of candidates and Brent's
+    steps; the one refit of the winner's line for its slope and intercept
+    is not counted.
     """
 
     params: LogisticParams
@@ -273,72 +275,6 @@ def _brent(
                 v, fv = u, fu
 
 
-def _spare_cpu() -> bool:
-    """Whether a forked child could run on a CPU beside this process.
-
-    Not while another Python thread runs: a forked child holds only the
-    forking thread, and a lock another thread held stays locked in it.
-    """
-    threading = sys.modules.get("threading")
-    if not hasattr(os, "fork") or (threading and threading.active_count() > 1):
-        return False
-    try:
-        return len(os.sched_getaffinity(0)) > 1
-    except AttributeError:  # no affinity API on this platform
-        return (os.cpu_count() or 1) > 1
-
-
-def _split(
-    sse_at: Callable[[float], float], own_ks: list[float], share_ks: list[float]
-) -> list[float]:
-    """``sse_at(k)`` for every k of ``own_ks + share_ks``, in order, with
-    ``share_ks`` evaluated in a forked child while this process evaluates
-    ``own_ks``.
-
-    The child sends its SSEs as native doubles over a pipe and leaves with
-    ``os._exit``.  When no child can be started, or it exits non-zero or
-    sends other than one double per candidate, this process evaluates
-    ``share_ks`` itself.  No child outlives the call: if evaluating
-    ``own_ks`` raises, the child is killed and reaped before the exception
-    propagates.
-    """
-    import signal
-    from array import array
-
-    fds: tuple[int, ...] = ()
-    try:
-        fds = os.pipe()
-        pid = os.fork()
-    except OSError:
-        for fd in fds:
-            os.close(fd)
-        return [sse_at(k) for k in own_ks + share_ks]
-    r, w = fds
-    if pid == 0:  # the child: never returns into the caller's frames
-        code = 1
-        try:
-            os.close(r)
-            sses = array("d", [sse_at(k) for k in share_ks])
-            with open(w, "wb") as pipe:
-                pipe.write(sses.tobytes())
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    try:
-        with open(r, "rb") as pipe:
-            mine = [sse_at(k) for k in own_ks]
-            data = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if status == 0 and len(data) == 8 * len(share_ks):
-        return mine + array("d", data).tolist()
-    return mine + [sse_at(k) for k in share_ks]
-
-
 def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> LogisticFit:
     """Fit (a, b, k) to a series by linearized least squares with k-search.
 
@@ -355,15 +291,19 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
     from the three candidates around it, whose SSEs the search already
     holds, so its first step is parabolic.  The first candidate and the
     ceiling ``max * factor_max`` bound the search and are not refined.
-    The best candidate ever evaluated is returned: the SSEs are scanned
-    in evaluation order with a strict ``<``, so the first lowest wins and
-    a nan never does, and only the winner's line is refitted, for its
-    slope and intercept.
+    The best full-data SSE ever evaluated is returned: the candidates'
+    SSEs are scanned in candidate order, then Brent's steps in basin
+    order, with a strict ``<``, so the first lowest wins and a nan never
+    does, and only the winner's line is refitted, for its slope and
+    intercept.
 
-    A series of at least ``_PARALLEL_MIN_POINTS`` points may have its
-    search split across two processes (see the module docstring); the
-    best candidate, its tie-breaking, ``k_search_trace`` and
-    ``sse_evals`` are bit-identical either way.
+    A series of at least ``2 * _SCAN_POINTS`` points is scanned on a
+    fixed-stride subsample (see the module docstring).  Only the scan
+    sees the subsample: the bounds, each basin's candidates and its
+    downhill steps are re-evaluated on all the data before Brent refines
+    it there, so when the scan finds the winning basin the fit is the one
+    a scan of all the data gives.  A shorter series is scanned on all its
+    points and re-evaluates nothing.
 
     Times so large that the line fit's sums overflow (about 1e154 and
     beyond) or so close together that their spread underflows to zero
@@ -375,8 +315,15 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
     fault and raises ``ConfigError``.
     """
     cfg = KSearchConfig() if search is None else search
+    ts, values = series.ts, series.values
+    vmax = max(values)
+    # The scan's points: every stride-th one plus the maximum's.
+    stride = max(1, len(values) // _SCAN_POINTS)
+    keep = sorted({*range(0, len(values), stride), values.index(vmax)})
+    scan_values = tuple(values[i] for i in keep)
     try:
-        line = _LineFit(series.ts)
+        line = _LineFit(ts)
+        scan_line = _LineFit([ts[i] for i in keep]) if stride > 1 else line
     except OverflowError as exc:
         raise FittingError(
             f"series {series.name!r}: times too large for the line fit "
@@ -387,8 +334,6 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
             f"series {series.name!r}: times too close together for the line "
             "fit (arithmetic underflow)"
         ) from exc
-    values = series.values
-    vmax = max(values)
 
     def sse_at(k: float) -> float:
         return _line_fit(line, values, vmax, k)
@@ -420,18 +365,50 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
 
     ks = [k_of(u) for u in us] + [k_lo * scale for scale in scales[:-1]] + [k_hi]
     us += grid_us
-    half = len(ks) // 2
-    if len(values) >= _PARALLEL_MIN_POINTS and _spare_cpu():
-        sses = _split(sse_at, ks[:half], ks[half:])
-    else:
-        sses = [sse_at(k) for k in ks]
+    sses = [_line_fit(scan_line, scan_values, vmax, k) for k in ks]
+    # Full-data SSEs by candidate index; a scan of all the data gives them all.
+    full = {} if stride > 1 else dict(enumerate(sses))
+    evals = len(ks)
+
+    def full_sse(i: int) -> float:
+        """Candidate i's full-data SSE, computed at most once."""
+        nonlocal evals
+        if i not in full:
+            full[i] = sse_at(ks[i])
+            evals += 1
+        return full[i]
+
+    # The first candidate and the last one, the ceiling, bound the search:
+    # either may win, but neither is refined.  Each interior local minimum
+    # of the scan is moved downhill, one candidate at a time, to a local
+    # minimum of the full-data SSEs.  A run of equal SSEs is refined once,
+    # from its left end, so a plateau of infeasible (infinite-SSE)
+    # candidates is never refined.
+    last = len(ks) - 1
+    full_sse(0)
+    full_sse(last)
+    basins = set()
+    for i in range(1, last):
+        if not sses[i - 1] > sses[i] <= sses[i + 1]:
+            continue
+        j = i
+        while 0 < j < last:
+            left, mid, right = full_sse(j - 1), full_sse(j), full_sse(j + 1)
+            if left > mid <= right:
+                basins.add(j)
+                break
+            if right < mid:
+                j += 1
+            elif left <= mid:
+                j -= 1
+            else:  # a nan beside it: no basin here
+                break
 
     # Strict <: the first lowest SSE wins, and a nan never does.
     best_sse, best_k = math.inf, math.nan
-    for k, sse in zip(ks, sses):
-        if sse < best_sse:
-            best_sse, best_k = sse, k
-    evals = len(ks)
+    for i in sorted(full):
+        if full[i] < best_sse:
+            best_sse, best_k = full[i], ks[i]
 
     def refine(u: float) -> float:
         nonlocal best_sse, best_k, evals
@@ -442,15 +419,10 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
             best_sse, best_k = sse, k
         return sse
 
-    # Each interior local minimum is refined in u; the first candidate and
-    # the last one, the ceiling, bound the search and are never refined.  A
-    # run of equal SSEs is refined once, from its left end, so a plateau of
-    # infeasible (infinite-SSE) candidates is never refined.
-    for i in range(1, len(ks) - 1):
-        left, right = (us[i - 1], sses[i - 1]), (us[i + 1], sses[i + 1])
-        if left[1] > sses[i] <= right[1]:
-            second, third = (left, right) if left[1] <= right[1] else (right, left)
-            _brent(refine, left[0], right[0], (us[i], sses[i]), second, third)
+    for i in sorted(basins):
+        left, right = (us[i - 1], full[i - 1]), (us[i + 1], full[i + 1])
+        second, third = (left, right) if left[1] <= right[1] else (right, left)
+        _brent(refine, left[0], right[0], (us[i], full[i]), second, third)
 
     if best_sse == math.inf:
         raise FittingError(

@@ -119,8 +119,8 @@ def run_pipeline(
         n_host=len(host),
         n_sub=len(sub),
         n_aligned=len(pair),
-        t_min=pair.ts[0],
-        t_max=pair.ts[-1],
+        t_min=pair.rows[0][0],
+        t_max=pair.rows[-1][0],
     )
     provenance = Provenance(
         tool=TOOL_NAME,

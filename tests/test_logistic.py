@@ -1,9 +1,7 @@
 
 import importlib.util
 import math
-import os
-import threading
-import time
+import random
 from pathlib import Path
 
 import pytest
@@ -26,6 +24,7 @@ from techevo import (
 )
 from techevo.errors import FittingError, KTooSmall, LevelOutOfRange, NotSShaped
 from techevo import logistic
+from techevo.stats import _LineFit
 
 params_st = st.builds(
     LogisticParams,
@@ -333,196 +332,112 @@ class TestFitBattery:
         assert misses <= 5
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children ``os.fork`` starts in this process."""
-    pids = []
-    fork = os.fork
-
-    def recording():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording)
-    return pids
+#: The smallest series whose candidates are scanned on a subsample (the
+#: README documents it).
+SUBSAMPLE_MIN_POINTS = 1024
 
 
-@pytest.fixture
-def split(monkeypatch, forks):
-    """Split k searches of at least the threshold size whatever the CPU count."""
-    monkeypatch.setattr(logistic, "_spare_cpu", lambda: True)
-    return forks
+def default_pair(n, sigma, seed):
+    """The default ``simulate`` pair at n points."""
+    return generate_pair(
+        SyntheticSpec(
+            host_params=LogisticParams(4, 0.3, 100),
+            sub_params=LogisticParams(3, 0.2, 50),
+            t_start=0.0,
+            t_end=40.0,
+            n_points=n,
+            noise_sigma=sigma,
+            seed=seed,
+        )
+    )
 
 
-SPLIT_MIN_POINTS = logistic._PARALLEL_MIN_POINTS
+def recipe_host(n, sigma, seed):
+    """The benchmark's report host: logistic (4, 0.3, 100) on [0, 40] times
+    log-normal noise from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    ts = [40.0 * j / (n - 1) for j in range(n)]
+    return FmtSeries(
+        "host",
+        tuple(
+            (t, 100.0 / (1.0 + math.exp(4.0 - 0.3 * t)) * math.exp(sigma * rng.gauss(0.0, 1.0)))
+            for t in ts
+        ),
+    )
 
 
-def in_process_fit(monkeypatch, series):
+def full_scan_fit(monkeypatch, series):
     with monkeypatch.context() as m:
-        m.setattr(logistic, "_PARALLEL_MIN_POINTS", math.inf)
+        m.setattr(logistic, "_SCAN_POINTS", math.inf)
         return fit_logistic(series)
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def fit_bits(fit):
+    p = fit.params
+    return [x.hex() for x in (p.a, p.b, p.k, fit.sse_linearized, fit.r2_linearized)]
 
 
-def threshold_series():
-    """An interior-basin and a ceiling fit at the smallest split size."""
-    n = SPLIT_MIN_POINTS
-    exact = sample_series(
-        LogisticParams(4, 0.3, 100), [40.0 * i / (n - 1) for i in range(n)], "exact"
+class TestSubsampledScan:
+    @pytest.mark.parametrize(
+        "series",
+        [
+            # The scan of every 19th point finds its basin one candidate
+            # away from the full data's.  Refined where the scan puts it,
+            # these fits return other bits; dropped, they lose (SSE 1209.41
+            # for 1207.79 at seed 1).
+            pytest.param(lambda: default_pair(10_000, 0.02, 1).sub, id="sigma0.02-seed1-sub"),
+            pytest.param(lambda: default_pair(10_000, 0.02, 2).sub, id="sigma0.02-seed2-sub"),
+            # Ceiling fits: the scan has no interior minimum.
+            pytest.param(lambda: default_pair(10_000, 0.1, 1).sub, id="sigma0.1-seed1-sub"),
+            pytest.param(lambda: default_pair(10_000, 0.1, 2).sub, id="sigma0.1-seed2-sub"),
+            # The scan's only basin is not one of the full data's, which
+            # fall all the way to the ceiling.
+            pytest.param(lambda: recipe_host(10_000, 0.02, 1), id="recipe-walk-to-ceiling"),
+            pytest.param(
+                lambda: default_pair(SUBSAMPLE_MIN_POINTS, 0.0, 1).host, id="n1024-exact"
+            ),
+            pytest.param(
+                lambda: default_pair(SUBSAMPLE_MIN_POINTS, 0.02, 1).sub, id="n1024-noisy"
+            ),
+        ],
     )
-    spec = SyntheticSpec(
-        host_params=LogisticParams(4, 0.3, 100),
-        sub_params=LogisticParams(3, 0.2, 50),
-        t_start=0.0,
-        t_end=40.0,
-        n_points=n,
-        noise_sigma=0.05,
-        seed=1,
-    )
-    return exact, generate_pair(spec).host
+    def test_fit_matches_the_full_scan(self, monkeypatch, series):
+        series = series()
+        fit = fit_logistic(series)
+        reference = full_scan_fit(monkeypatch, series)
+        assert fit_bits(fit) == fit_bits(reference)
+        # The candidates carry the subsample's SSEs, not the full data's.
+        assert fit.k_search_trace[:-1] != reference.k_search_trace[:-1]
 
+    def test_shorter_series_scan_all_their_points(self, monkeypatch):
+        series = default_pair(SUBSAMPLE_MIN_POINTS - 1, 0.02, 1).sub
+        # Dataclass equality compares every field, trace and count included.
+        assert fit_logistic(series) == full_scan_fit(monkeypatch, series)
 
-class TestSplitSearch:
-    def test_battery_digest_when_every_search_splits(self, monkeypatch, split, battery):
-        monkeypatch.setattr(logistic, "_PARALLEL_MIN_POINTS", 0)
-        series, _ = battery
-        outcomes = [fit_battery.fit_outcome(s) for s in series]
-        assert len(split) == len(series)
-        assert fit_battery.battery_digest(outcomes) == BATTERY_DIGEST
-        assert_no_child_left()
-
-    def test_threshold_fits_match_in_process(self, monkeypatch, split):
-        exact, noisy = threshold_series()
-        fits = [fit_logistic(s) for s in (exact, noisy)]
-        assert len(split) == 2
-        assert rel_err(fits[0].params.k, 100.0) < 1e-6
-        assert fits[1].params.k == 10.0 * noisy.max_value
-        for fit, series in zip(fits, (exact, noisy)):
-            # Dataclass equality compares every field, the trace included.
-            reference = in_process_fit(monkeypatch, series)
-            assert fit == reference and fit.sse_evals == reference.sse_evals
-        assert_no_child_left()
-
-    def test_failed_fork_runs_in_process(self, monkeypatch, split):
-        def refuse():
-            raise OSError("fork refused")
-
-        monkeypatch.setattr(os, "fork", refuse)
-        exact, _ = threshold_series()
-        assert fit_logistic(exact) == in_process_fit(monkeypatch, exact)
-
-    def test_child_evaluates_the_top_half_of_the_candidates(
-        self, monkeypatch, split, tmp_path
-    ):
-        # The 80 candidates are 16 floor then 64 grid ones; this process
-        # fits the first 40, the forked child the last 40.
-        parent = os.getpid()
-        calls = []
-        line_fit = logistic._line_fit
-        child_ks = tmp_path / "child"
-
-        def recording(line, values, vmax, k):
-            if os.getpid() == parent:
-                calls.append(k)
-            else:
-                with open(child_ks, "a") as f:
-                    f.write(f"{k!r}\n")
-            return line_fit(line, values, vmax, k)
-
-        monkeypatch.setattr(logistic, "_line_fit", recording)
-        exact, _ = threshold_series()
-        fit = fit_logistic(exact)
-        candidates = [k for k, _ in fit.k_search_trace[:-1]]
-        assert len(candidates) == 80 and len(split) == 1
-        # After its own 40, this process only refines basins.
-        assert calls[:40] == candidates[:40]
-        assert len(calls) == fit.sse_evals - 40
-        assert [float(k) for k in child_ks.read_text().split()] == candidates[40:]
-        assert_no_child_left()
-
-    @pytest.mark.parametrize("failure", [3, 0, "padded"])
-    def test_failed_child_share_is_recomputed(self, monkeypatch, split, failure):
-        # A child that exits non-zero, exits 0 before sending its data, or
-        # sends more than one double per candidate (here an extra 0.0 per
-        # candidate, ahead of its SSEs; a 0.0 would win) leaves its share to
-        # this process, which runs it exactly once.
-        parent = os.getpid()
-        calls = []
-        line_fit = logistic._line_fit
-        pipes = []
-        pipe = os.pipe
-
-        def recording_pipe():
-            pipes.append(pipe())
-            return pipes[-1]
-
-        def failing(line, values, vmax, k):
-            if os.getpid() == parent:
-                calls.append(k)
-            elif failure == "padded":
-                os.write(pipes[-1][1], bytes(8))
-            else:
-                os._exit(failure)
-            return line_fit(line, values, vmax, k)
-
-        monkeypatch.setattr(os, "pipe", recording_pipe)
-        monkeypatch.setattr(logistic, "_line_fit", failing)
-        exact, _ = threshold_series()
-        fit = fit_logistic(exact)
-        candidates = [k for k, _ in fit.k_search_trace[:-1]]
-        assert len(split) == 1
-        assert calls[:80] == candidates
-        assert len(calls) == fit.sse_evals
-        monkeypatch.setattr(logistic, "_line_fit", line_fit)
-        assert fit == in_process_fit(monkeypatch, exact)
-        assert_no_child_left()
-
-    def test_child_is_killed_when_own_share_raises(self, monkeypatch, split):
-        # The child would take 20 s; it is killed, not waited for.
-        parent = os.getpid()
+    def test_sse_evals_counts_scan_and_full_data(self, monkeypatch):
+        sizes = []
         line_fit = logistic._line_fit
 
-        def slow_or_failing(line, values, vmax, k):
-            if os.getpid() == parent:
-                raise ArithmeticError("parent share failed")
-            time.sleep(20)
+        def record(line, values, vmax, k):
+            sizes.append(len(values))
             return line_fit(line, values, vmax, k)
 
-        monkeypatch.setattr(logistic, "_line_fit", slow_or_failing)
-        exact, _ = threshold_series()
-        start = time.monotonic()
-        with pytest.raises(ArithmeticError, match="parent share failed"):
-            fit_logistic(exact)
-        assert time.monotonic() - start < 10
-        assert len(split) == 1
-        assert_no_child_left()
+        monkeypatch.setattr(logistic, "_line_fit", record)
+        n = SUBSAMPLE_MIN_POINTS
+        host = default_pair(n, 0.0, 1).host
+        fit = fit_logistic(host)
+        assert fit.sse_evals == len(sizes)
+        # Every other point, plus the maximum's: the last, at an odd index.
+        assert host.values.index(host.max_value) == n - 1
+        assert sizes[:80] == [n // 2 + 1] * 80
+        assert sizes[80:] == [n] * (fit.sse_evals - 80)
 
-    def test_split_only_at_threshold_with_a_spare_cpu(self, forks):
-        # Uses the real CPU gate: pinned to one CPU, nothing is forked.
-        exact, _ = threshold_series()
-        fit_logistic(FmtSeries("short", exact.points[:-1]))
-        assert forks == []
-        fit_logistic(exact)
-        assert len(forks) == (1 if len(os.sched_getaffinity(0)) > 1 else 0)
-        assert_no_child_left()
-
-    def test_no_split_while_another_thread_runs(self, monkeypatch, forks):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        exact, _ = threshold_series()
-        release = threading.Event()
-        other = threading.Thread(target=release.wait, args=(30,))
-        other.start()
-        try:
-            fit = fit_logistic(exact)
-        finally:
-            release.set()
-            other.join(timeout=30)
-        assert not other.is_alive()
-        assert forks == []
-        assert fit == in_process_fit(monkeypatch, exact)
+    def test_ceiling_fit_reports_the_full_data_sse(self):
+        host = recipe_host(10_000, 0.02, 2)
+        fit = fit_logistic(host)
+        k_hi = 10.0 * host.max_value
+        assert fit.params.k == k_hi
+        full_sse = logistic._line_fit(_LineFit(host.ts), host.values, host.max_value, k_hi)
+        assert fit.sse_linearized == full_sse
+        scan_k, scan_sse = fit.k_search_trace[-2]
+        assert scan_k == k_hi and scan_sse != full_sse
