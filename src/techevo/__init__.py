@@ -33,7 +33,6 @@ from .coevolution import (
     relation_constant,
 )
 from .logistic import (
-    KSearchConfig,
     LogisticFit,
     LogisticParams,
     fit_logistic,
@@ -52,7 +51,6 @@ from .pathway import (
 )
 from .report import (
     AnalysisReport,
-    PipelineConfig,
     PlotData,
     Provenance,
     ReportInputs,
@@ -100,7 +98,6 @@ __all__ = [
     # logistic
     "LogisticParams",
     "LogisticFit",
-    "KSearchConfig",
     "logistic_value",
     "solve_time",
     "linearize",
@@ -136,7 +133,6 @@ __all__ = [
     "early_phase_pair",
     # report
     "AnalysisReport",
-    "PipelineConfig",
     "ReportInputs",
     "Provenance",
     "PlotData",

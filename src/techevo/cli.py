@@ -15,7 +15,7 @@ Exit codes
 11  alignment error (too few shared timestamps)
 12  fitting error (not S-shaped, saturation violations, arithmetic overflow)
 13  estimation error (degenerate regressor)
-14  configuration error (bad alpha)
+14  configuration error (bad alpha, k-search factor or simulate option)
 1   unexpected internal error
 """
 
@@ -35,9 +35,9 @@ from .errors import (
     InputError,
     TechEvoError,
 )
-from .logistic import KSearchConfig, LogisticParams, fit_logistic
+from .logistic import DEFAULT_K_SEARCH_FACTOR, LogisticParams, fit_logistic
+from .pathway import DEFAULT_ALPHA
 from .report import (
-    PipelineConfig,
     _logistic_fit_dict,
     _quantize,
     emit_plot_data,
@@ -79,7 +79,7 @@ def _read_series(path: str, name: str | None = None) -> FmtSeries:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     series = _read_series(args.csv, args.name)
-    fit = fit_logistic(series, KSearchConfig(factor_max=args.k_search_factor))
+    fit = fit_logistic(series, args.k_search_factor)
     payload = {
         "series": {"name": series.name, "n": len(series)},
         "fit": {
@@ -97,28 +97,26 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _emit_report(args: argparse.Namespace, with_logistic: bool) -> int:
-    config = PipelineConfig(
-        alpha=args.alpha,
-        k_search=KSearchConfig(factor_max=args.k_search_factor),
-        with_logistic=with_logistic,
-    )
+def _cmd_report(args: argparse.Namespace) -> int:
+    """``report``, and ``evolve``, whose parser sets --no-logistic and no plot."""
     host = _read_series(args.host)
     sub = _read_series(args.sub)
+    factor = None if args.no_logistic else args.k_search_factor
     report = run_pipeline(
-        host, sub, config, host_file=Path(args.host).name, sub_file=Path(args.sub).name
+        host, sub, host_file=Path(args.host).name, sub_file=Path(args.sub).name,
+        alpha=args.alpha, k_search_factor=factor,
     )
     text = report_to_json(report) if args.format == "json" else emit_table(report)
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+    if args.plot:
+        # Made first, so that a path that cannot be a directory writes no report.
+        directory = Path(args.plot)
+        directory.mkdir(parents=True, exist_ok=True)
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
-    plot_dir = getattr(args, "plot", None)
-    if plot_dir:
-        directory = Path(plot_dir)
-        directory.mkdir(parents=True, exist_ok=True)
+    if args.plot:
         pairs = (
             ("host", host, report.logistic_host),
             ("sub", sub, report.logistic_sub),
@@ -129,14 +127,6 @@ def _emit_report(args: argparse.Namespace, with_logistic: bool) -> int:
             (directory / f"{label}.svg").write_text(plot.svg, encoding="utf-8")
             del plot  # free this plot's text before the next one is built
     return EXIT_OK
-
-
-def _cmd_evolve(args: argparse.Namespace) -> int:
-    return _emit_report(args, with_logistic=False)
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    return _emit_report(args, with_logistic=not args.no_logistic)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -167,14 +157,17 @@ def _params_triple(text: str) -> tuple[float, float, float]:
     return a, b, k
 
 
-def _add_output_args(p: argparse.ArgumentParser) -> None:
-    """The k-search bound and output format, shared by fit, evolve and report."""
+def _add_k_search_factor(p: argparse._ActionsContainer) -> None:
+    """The k-search bound, taken by the commands that fit an S-curve."""
     p.add_argument(
         "--k-search-factor",
         type=float,
-        default=10.0,
+        default=DEFAULT_K_SEARCH_FACTOR,
         help="saturation search upper bound as a multiple of the observed maximum",
     )
+
+
+def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--format", choices=("json", "table"), default="json", help="output format"
     )
@@ -183,8 +176,8 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
 def _add_pair_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--host", required=True, help="host-technology CSV (t,value)")
     p.add_argument("--sub", required=True, help="subsystem-technology CSV (t,value)")
-    p.add_argument("--alpha", type=float, default=0.01, help="significance level")
-    _add_output_args(p)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="significance level")
+    _add_format(p)
     p.add_argument("--out", help="write output to this file instead of stdout")
 
 
@@ -200,18 +193,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit one series' S-curve")
     p_fit.add_argument("csv", help="series CSV (t,value)")
     p_fit.add_argument("--name", help="series name (default: file stem)")
-    _add_output_args(p_fit)
+    _add_k_search_factor(p_fit)
+    _add_format(p_fit)
     p_fit.set_defaults(func=_cmd_fit)
 
     p_evolve = sub.add_parser(
         "evolve", help="estimate the evolutionary coefficient and pathway"
     )
     _add_pair_args(p_evolve)
-    p_evolve.set_defaults(func=_cmd_evolve)
+    p_evolve.set_defaults(func=_cmd_report, no_logistic=True, plot=None)
 
     p_report = sub.add_parser("report", help="full pipeline with artifacts")
     _add_pair_args(p_report)
-    p_report.add_argument(
+    # --no-logistic fits no S-curve, so a k-search bound beside it is refused.
+    fits = p_report.add_mutually_exclusive_group()
+    _add_k_search_factor(fits)
+    fits.add_argument(
         "--no-logistic", action="store_true", help="skip the per-series S-curve fits"
     )
     p_report.add_argument("--plot", help="directory for plot CSV/SVG artifacts")

@@ -80,7 +80,9 @@ class LogisticParams:
         return self.a / self.b
 
 
-#: Geometric grid candidates over (max * _FLOOR_FACTOR, max * factor_max].
+#: Default ceiling of the k search as a multiple of the observed maximum.
+DEFAULT_K_SEARCH_FACTOR = 10.0
+#: Geometric grid candidates over (max * _FLOOR_FACTOR, max * k_search_factor].
 _N_GRID = 64
 #: Grid floor as a multiple of the observed maximum.
 _FLOOR_FACTOR = 1.001
@@ -96,43 +98,12 @@ _SCAN_POINTS = 512
 
 
 @dataclass(frozen=True)
-class KSearchConfig:
-    """Upper bound of the saturation-level search.
-
-    The search evaluates ``_N_FLOOR`` floor candidates k = max * (1 + e^u)
-    with u evenly spaced from ln(``_FLOOR_GAP``) up to, and excluding, the
-    first grid candidate's u = ln(k/max - 1), then ``_N_GRID`` geometric
-    grid candidates over ``(max * _FLOOR_FACTOR, max * factor_max]``, the
-    last one exactly ``max * factor_max``.  A series of at least
-    ``2 * _SCAN_POINTS`` points has these candidates scanned on a
-    fixed-stride subsample; each basin the scan finds is moved to a local
-    minimum of the full-data SSEs before it is refined.  Each interior
-    local minimum is refined by Brent's method in u, on all the data, until
-    its bracket in u is no wider than ``_U_TOL``; as dk/du = k - max, that
-    pins k to within about ``_U_TOL * (k - max)``.  A minimum at the
-    ceiling is not refined: nothing above it is searched, so it brackets
-    no interior minimum.  The grid stays geometric above
-    ``max * _FLOOR_FACTOR`` because steps even in u grow with k and would
-    miss a saturation level several times the data's maximum.
-    """
-
-    factor_max: float = 10.0
-
-    def __post_init__(self) -> None:
-        if not _FLOOR_FACTOR < self.factor_max < math.inf:
-            raise ValueError(
-                f"factor_max must be finite and exceed {_FLOOR_FACTOR}, "
-                f"got {self.factor_max!r}"
-            )
-
-
-@dataclass(frozen=True)
 class LogisticFit:
     """Fitted parameters plus linearized-regression diagnostics.
 
     ``k_search_trace`` records (k candidate, scan SSE) for every floor and
     grid candidate and, last, the refined optimum actually returned with
-    its full-data SSE.  On a subsampled series (see ``KSearchConfig``) the
+    its full-data SSE.  On a subsampled series (see ``fit_logistic``) the
     candidates' SSEs are those of the subsample; on a shorter one they are
     full-data SSEs.  ``sse_evals`` counts every SSE the search computed:
     the scan's, the full-data re-evaluations of candidates and Brent's
@@ -275,7 +246,9 @@ def _brent(
                 v, fv = u, fu
 
 
-def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> LogisticFit:
+def fit_logistic(
+    series: FmtSeries, k_search_factor: float = DEFAULT_K_SEARCH_FACTOR
+) -> LogisticFit:
     """Fit (a, b, k) to a series by linearized least squares with k-search.
 
     The slope of the best linearized fit is -b and its intercept is a;
@@ -284,18 +257,21 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
     The SSE landscape in k is not globally unimodal: it diverges just
     above the observed maximum, dips at the physical saturation level,
     and decays toward a plateau as k grows (the exponential limit).  The
-    candidates (see ``KSearchConfig``) therefore only locate basins: the
-    floor candidates reach down to within 1e-15 of the maximum, and the
-    geometric grid covers the rest up to the ceiling.  Each interior local
-    minimum is refined by Brent's method in u = ln(k/max - 1), starting
-    from the three candidates around it, whose SSEs the search already
-    holds, so its first step is parabolic.  The first candidate and the
-    ceiling ``max * factor_max`` bound the search and are not refined.
-    The best full-data SSE ever evaluated is returned: the candidates'
-    SSEs are scanned in candidate order, then Brent's steps in basin
-    order, with a strict ``<``, so the first lowest wins and a nan never
-    does, and only the winner's line is refitted, for its slope and
-    intercept.
+    candidates therefore only locate basins: ``_N_FLOOR`` floor candidates
+    evenly spaced in u = ln(k/max - 1) from ln(``_FLOOR_GAP``) up to the
+    first grid candidate's u, then ``_N_GRID`` geometric ones over
+    ``(max * _FLOOR_FACTOR, max * k_search_factor]`` (steps even in u grow
+    with k and would miss a saturation level several times the maximum).
+    Each interior local minimum is refined by Brent's method in u,
+    starting from the three candidates around it, whose SSEs the search
+    already holds, so its first step is parabolic, until its bracket in u
+    is no wider than ``_U_TOL``, which pins k to about
+    ``_U_TOL * (k - max)``.  The first candidate and the ceiling
+    ``max * k_search_factor`` bound the search and are not refined.  The
+    best full-data SSE ever evaluated is returned: the candidates' SSEs
+    are scanned in candidate order, then Brent's steps in basin order,
+    with a strict ``<``, so the first lowest wins and a nan never does,
+    and only the winner's line is refitted, for its slope and intercept.
 
     A series of at least ``2 * _SCAN_POINTS`` points is scanned on a
     fixed-stride subsample (see the module docstring).  Only the scan
@@ -305,18 +281,37 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
     a scan of all the data gives.  A shorter series is scanned on all its
     points and re-evaluates nothing.
 
-    Times so large that the line fit's sums overflow (about 1e154 and
-    beyond) or so close together that their spread underflows to zero
-    raise ``FittingError``, as do a maximum so large that the default
-    ceiling ``max * 10`` overflows (about 1.8e307 or more; no candidate is
-    evaluated) and values whose log-odds overflow at every candidate k (a
-    subnormal value beside ordinary ones).  A ceiling ``max * factor_max``
-    that overflows although the default factor's would not is the factor's
-    fault and raises ``ConfigError``.
+    ``k_search_factor`` must be finite and exceed ``_FLOOR_FACTOR``, and a
+    ceiling that overflows although the default factor's would not is the
+    factor's fault too: both raise ``ConfigError`` before the series is
+    searched.  A maximum so large that the default ceiling ``max * 10``
+    overflows (about 1.8e307 or more) raises ``FittingError``, as do times
+    so large that the line fit's sums overflow (about 1e154 and beyond) or
+    so close together that their spread underflows to zero, and values
+    whose log-odds overflow at every candidate k (a subnormal value beside
+    ordinary ones).
     """
-    cfg = KSearchConfig() if search is None else search
     ts, values = series.ts, series.values
     vmax = max(values)
+    if not _FLOOR_FACTOR < k_search_factor < math.inf:
+        raise ConfigError(
+            f"k_search_factor must be finite and exceed {_FLOOR_FACTOR}, "
+            f"got {k_search_factor!r}"
+        )
+    k_lo = vmax * _FLOOR_FACTOR
+    k_hi = vmax * k_search_factor
+    if k_hi == math.inf:
+        if vmax * DEFAULT_K_SEARCH_FACTOR < math.inf:
+            raise ConfigError(
+                f"series {series.name!r}: k-search factor {k_search_factor!r} times "
+                f"the series maximum {vmax!r} overflows; the factor must stay "
+                f"below about {sys.float_info.max / vmax:.6g}"
+            )
+        raise FittingError(
+            f"series {series.name!r}: the series maximum {vmax!r} is too large "
+            f"for the k-search ceiling max * factor, factor {k_search_factor!r} "
+            "(arithmetic overflow)"
+        )
     # The scan's points: every stride-th one plus the maximum's.
     stride = max(1, len(values) // _SCAN_POINTS)
     keep = sorted({*range(0, len(values), stride), values.index(vmax)})
@@ -338,20 +333,6 @@ def fit_logistic(series: FmtSeries, search: KSearchConfig | None = None) -> Logi
     def sse_at(k: float) -> float:
         return _line_fit(line, values, vmax, k)
 
-    k_lo = vmax * _FLOOR_FACTOR
-    k_hi = vmax * cfg.factor_max
-    if k_hi == math.inf:
-        if vmax * KSearchConfig.factor_max < math.inf:
-            raise ConfigError(
-                f"series {series.name!r}: k-search factor {cfg.factor_max!r} times "
-                f"the series maximum {vmax!r} overflows; the factor must stay "
-                f"below about {sys.float_info.max / vmax:.6g}"
-            )
-        raise FittingError(
-            f"series {series.name!r}: the series maximum {vmax!r} is too large "
-            f"for the k-search ceiling max * factor, factor {cfg.factor_max!r} "
-            "(arithmetic overflow)"
-        )
     ratio = k_hi / k_lo
     scales = [ratio ** (i / _N_GRID) for i in range(1, _N_GRID + 1)]
     # u = ln(k/max - 1) of each grid candidate, from its exact multiple of max.

@@ -23,6 +23,8 @@ LABELS = (UNDERDEVELOPMENT, PARALLEL, DEVELOPMENT, INCONCLUSIVE)
 
 #: |b - 1| at or below this counts as exactly parallel.
 PARALLEL_TOL = 1e-12
+#: Default significance level of the test of b = 1.
+DEFAULT_ALPHA = 0.01
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,7 @@ class PathwayClass:
     direction: str  # "below", "above" or "equal" relative to b = 1
 
 
-def classify_pathway(fit: EvolutionFit, alpha: float = 0.01) -> PathwayClass:
+def classify_pathway(fit: EvolutionFit, alpha: float = DEFAULT_ALPHA) -> PathwayClass:
     """Classify a fit by the two-sided test of b = 1 at level ``alpha``."""
     if not 0.0 < alpha < 1.0:
         raise InvalidAlpha(f"alpha {alpha!r} outside (0, 1)")

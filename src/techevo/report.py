@@ -1,10 +1,11 @@
 """Analysis reports: the full pipeline plus deterministic emission.
 
-``run_pipeline`` aligns two series, optionally fits each series' S-curve,
-estimates the evolutionary coefficient and classifies the pathway.  The
-report serializes to JSON with floats at 12 significant digits (stable
-across platforms) and carries a SHA-256 digest over every field except
-the provenance timestamp, so identical inputs are checkable at a glance.
+``run_pipeline`` aligns two series, fits each series' S-curve (unless
+``k_search_factor`` is None), estimates the evolutionary coefficient and
+classifies the pathway at level ``alpha``.  The report serializes to
+JSON with floats at 12 significant digits (stable across platforms) and
+carries a SHA-256 digest over every field except the provenance
+timestamp, so identical inputs are checkable at a glance.
 
 JSON field names are snake_case and frozen; they are the tool's stable
 machine interface.
@@ -16,18 +17,18 @@ import datetime as _dt
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 from .coevolution import EvolutionFit, estimate_evolution
 from .logistic import (
-    KSearchConfig,
+    DEFAULT_K_SEARCH_FACTOR,
     LogisticFit,
     LogisticParams,
     fit_logistic,
     logistic_value,
 )
-from .pathway import PathwayClass, classify_pathway
+from .pathway import DEFAULT_ALPHA, PathwayClass, classify_pathway
 from .series import FmtSeries, align
 from .stats import _t_ratio, t_two_sided_p
 
@@ -36,13 +37,6 @@ TOOL_NAME = "techevo"
 
 #: Significant digits for every float the tool emits.
 FLOAT_DIGITS = 12
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    alpha: float = 0.01
-    k_search: KSearchConfig = field(default_factory=KSearchConfig)
-    with_logistic: bool = True
 
 
 @dataclass(frozen=True)
@@ -85,29 +79,31 @@ def _utc_now() -> str:
 def run_pipeline(
     host: FmtSeries,
     sub: FmtSeries,
-    config: PipelineConfig | None = None,
     *,
     host_file: str,
     sub_file: str,
+    alpha: float = DEFAULT_ALPHA,
+    k_search_factor: float | None = DEFAULT_K_SEARCH_FACTOR,
 ) -> AnalysisReport:
     """Align, (optionally) fit, estimate and classify two series.
 
-    Reads and writes no file.  ``host_file`` and ``sub_file`` are the
-    names the report records for its inputs; pass file names, not paths,
-    so reports and digests stay identical across checkouts and working
-    directories.  Errors from any stage propagate unchanged; the CLI maps
-    them onto its exit-code contract.
+    ``alpha`` is the level of the pathway test and ``k_search_factor``
+    the ceiling of each series' k search, checked by ``fit_logistic``;
+    None fits no S-curve.  Reads and writes no file.  ``host_file`` and
+    ``sub_file`` are the names the report records for its inputs; pass
+    file names, not paths, so reports and digests stay identical across
+    checkouts and working directories.  Errors from any stage propagate
+    unchanged; the CLI maps them onto its exit-code contract.
     """
-    cfg = PipelineConfig() if config is None else config
     pair = align(host, sub)
 
     fit_host = fit_sub = None
-    if cfg.with_logistic:
-        fit_host = fit_logistic(host, cfg.k_search)
-        fit_sub = fit_logistic(sub, cfg.k_search)
+    if k_search_factor is not None:
+        fit_host = fit_logistic(host, k_search_factor)
+        fit_sub = fit_logistic(sub, k_search_factor)
 
     evolution = estimate_evolution(pair)
-    pathway = classify_pathway(evolution, cfg.alpha)
+    pathway = classify_pathway(evolution, alpha)
 
     inputs = ReportInputs(
         host_file=host_file,
@@ -126,10 +122,9 @@ def run_pipeline(
         tool=TOOL_NAME,
         version=__version__,
         config={
-            "alpha": cfg.alpha,
-            # The k-search bound is recorded only when an S-curve is fitted.
-            "k_search_factor": cfg.k_search.factor_max if cfg.with_logistic else None,
-            "with_logistic": cfg.with_logistic,
+            "alpha": alpha,
+            "k_search_factor": k_search_factor,
+            "with_logistic": k_search_factor is not None,
         },
         timestamp=_utc_now(),
     )

@@ -79,14 +79,6 @@ class FmtSeries:
         return tuple(v for _, v in self.points)
 
     @property
-    def t_min(self) -> float:
-        return self.points[0][0]
-
-    @property
-    def t_max(self) -> float:
-        return self.points[-1][0]
-
-    @property
     def max_value(self) -> float:
         return max(self.values)
 

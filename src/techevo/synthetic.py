@@ -22,7 +22,8 @@ RNG contract (language-independent)
 
 ``generate_pair`` draws the host's deviates first, then the subsystem's.
 Deviates are clamped to [-5, 5] so generated values always stay inside
-(0, k * exp(5 * noise_sigma)).
+(0, k * exp(5 * noise_sigma)); a value that rounds out of the finite
+positive floats there raises ``ValueError``.
 
 Batch draws
 -----------
@@ -152,6 +153,12 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # Non-finite if either end is, or if the span overflows.
+        if not math.isfinite(self.t_end - self.t_start):
+            raise ValueError(
+                f"t_start {self.t_start!r}, t_end {self.t_end!r} and the span "
+                "between them must be finite"
+            )
         if not self.t_start < self.t_end:
             raise ValueError(
                 f"t_start {self.t_start!r} must precede t_end {self.t_end!r}"
@@ -160,8 +167,10 @@ class SyntheticSpec:
             raise ValueError(
                 f"n_points must lie in [3, {_MAX_POINTS}], got {self.n_points!r}"
             )
-        if self.noise_sigma < 0.0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError(
+                f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}"
+            )
         if not 0 <= self.seed <= _MASK64:
             raise ValueError(f"seed {self.seed!r} outside [0, 2**64)")
 
@@ -170,13 +179,21 @@ def _noisy_values(
     params: LogisticParams, ts: list[float], sigma: float, rng: SplitMix64
 ) -> list[float]:
     values = [logistic_value(params, t) for t in ts]
-    if sigma == 0.0:
-        return values
-    exp = math.exp
-    return [
-        v * exp(sigma * (-5.0 if z < -5.0 else 5.0 if z > 5.0 else z))
-        for v, z in zip(values, rng.normals(len(ts)))
-    ]
+    if sigma != 0.0:
+        exp = math.exp
+        try:
+            values = [
+                v * exp(sigma * (-5.0 if z < -5.0 else 5.0 if z > 5.0 else z))
+                for v, z in zip(values, rng.normals(len(ts)))
+            ]
+        except OverflowError:
+            values = [math.inf]
+    if not (min(values) > 0.0 and max(values) < math.inf):
+        raise ValueError(
+            f"{params} on t in [{ts[0]!r}, {ts[-1]!r}] with noise_sigma {sigma!r} "
+            "gives a value outside the finite positive floats"
+        )
+    return values
 
 
 def generate_pair(spec: SyntheticSpec) -> AlignedPair:
@@ -184,6 +201,8 @@ def generate_pair(spec: SyntheticSpec) -> AlignedPair:
     n = spec.n_points
     dt = (spec.t_end - spec.t_start) / (n - 1)
     ts = [spec.t_start + i * dt for i in range(n)]
+    if not math.isfinite(ts[-1]):
+        raise ValueError(f"the time grid overflows before t_end {spec.t_end!r}")
     rng = SplitMix64(spec.seed)
     host_vals = _noisy_values(spec.host_params, ts, spec.noise_sigma, rng)
     sub_vals = _noisy_values(spec.sub_params, ts, spec.noise_sigma, rng)

@@ -49,16 +49,6 @@ class TestHappyPaths:
         assert payload["logistic_fits"] is None
         assert abs(payload["evolution"]["b"] - 0.5) < 1e-9
 
-    def test_evolve_digest_ignores_k_search_factor(self, capsys):
-        # evolve fits no S-curve, so the k-search bound must not reach the digest.
-        digests = []
-        for extra in ([], ["--k-search-factor", "5"]):
-            assert main(["evolve", "--host", POWER[0], "--sub", POWER[1], *extra]) == EXIT_OK
-            payload = json.loads(capsys.readouterr().out)
-            assert payload["provenance"]["config"]["k_search_factor"] is None
-            digests.append(payload["digest"])
-        assert digests[0] == digests[1]
-
     def test_fit(self, capsys):
         assert main(["fit", SYNTH[0]]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
@@ -94,6 +84,15 @@ class TestHappyPaths:
         assert json.loads(out.read_text())["schema_version"] == 1
         names = sorted(p.name for p in plots.iterdir())
         assert names == ["host.csv", "host.svg", "sub.csv", "sub.svg"]
+
+    def test_plot_path_that_cannot_be_a_directory_writes_no_report(self, tmp_path, capsys):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("", encoding="utf-8")
+        out = tmp_path / "r.json"
+        args = ["report", "--host", SYNTH[0], "--sub", SYNTH[1], "--out", str(out)]
+        assert main([*args, "--plot", str(not_a_dir / "x")]) == EXIT_INPUT
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
 
     def test_plot_determinism(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
@@ -220,8 +219,11 @@ class TestExitCodes:
         code = main(["report", "--host", SYNTH[0], "--sub", SYNTH[1], "--alpha", "2"])
         assert code == EXIT_CONFIG
         assert "InvalidAlpha" in capsys.readouterr().err
-        assert main(["fit", SYNTH[0], "--k-search-factor", "inf"]) == EXIT_CONFIG
-        assert "factor_max must be finite" in capsys.readouterr().err
+        for factor in ("1.0", "inf"):
+            assert main(["fit", SYNTH[0], "--k-search-factor", factor]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("ConfigError: ")
+            assert "k_search_factor must be finite and exceed 1.001" in err
 
     def test_overflowing_search_ceiling_is_a_config_error(self, capsys):
         # max * factor overflows although the default factor's ceiling
@@ -240,6 +242,40 @@ class TestExitCodes:
         assert "n_points" in capsys.readouterr().err
         assert not host.exists() and not sub.exists()
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["--noise-sigma", "200", "--n-points", "10000"],
+            ["--noise-sigma", "1e308"],
+            ["--noise-sigma", "inf"],
+            ["--noise-sigma", "nan"],
+            ["--t-end", "inf"],
+            ["--t-start=-1e308", "--t-end=1e308"],
+            ["--host-params", "4,0.3,1e308", "--noise-sigma", "0.5"],
+            ["--t-start", "-3000"],  # the noise-free host underflows to 0
+            ["--t-end", "1.7976931348623157e308", "--n-points", "7"],
+        ],
+    )
+    def test_simulate_value_outside_the_floats_is_a_config_error(
+        self, tmp_path, capsys, options
+    ):
+        host, sub = tmp_path / "h.csv", tmp_path / "s.csv"
+        args = ["simulate", "--out-host", str(host), "--out-sub", str(sub), *options]
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not host.exists() and not sub.exists()
+
+    def test_k_search_factor_only_where_a_fit_runs(self, capsys):
+        # evolve and report --no-logistic fit no S-curve, so the bound is refused.
+        pair = ["--host", POWER[0], "--sub", POWER[1], "--k-search-factor", "5"]
+        for argv in (["evolve", *pair], ["report", "--no-logistic", *pair]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        capsys.readouterr()
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["report"])  # missing required --host/--sub
@@ -253,6 +289,17 @@ class TestReportDeterminism:
         main(["report", "--host", SYNTH[0], "--sub", SYNTH[1], "--out", str(p2)])
         blank = lambda s: re.sub(r'"timestamp": "[^"]*"', '"timestamp": null', s)
         assert blank(p1.read_text()) == blank(p2.read_text())
+
+    @pytest.mark.parametrize("pair", [SYNTH, POWER], ids=["synth", "power"])
+    def test_report_without_fits_is_evolve(self, tmp_path, pair):
+        texts = []
+        for argv in (["evolve"], ["report", "--no-logistic"]):
+            out = tmp_path / f"{argv[0]}.json"
+            args = [*argv, "--host", pair[0], "--sub", pair[1], "--out", str(out)]
+            assert main(args) == EXIT_OK
+            texts.append(re.sub(r'"timestamp": "[^"]*"', '"timestamp": null', out.read_text()))
+        assert texts[0] == texts[1]
+        assert json.loads(texts[0])["provenance"]["config"]["k_search_factor"] is None
 
 
 def test_cli_imports_only_the_standard_library():

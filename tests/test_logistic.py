@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import rel_err, sample_series
 from techevo import (
     FmtSeries,
-    KSearchConfig,
     LogisticParams,
     SplitMix64,
     SyntheticSpec,
@@ -22,7 +21,7 @@ from techevo import (
     ols_simple,
     solve_time,
 )
-from techevo.errors import FittingError, KTooSmall, LevelOutOfRange, NotSShaped
+from techevo.errors import ConfigError, FittingError, KTooSmall, LevelOutOfRange, NotSShaped
 from techevo import logistic
 from techevo.stats import _LineFit
 
@@ -186,21 +185,18 @@ class TestFitLogistic:
             assert rel_err(fit.params.k, truth.k) < 1e-6
 
     def test_search_config_validation(self):
-        with pytest.raises(ValueError):
-            KSearchConfig(factor_max=1.0)
-        with pytest.raises(ValueError):
-            KSearchConfig(factor_max=1.001)  # must lie above the grid floor
-        with pytest.raises(ValueError):
-            KSearchConfig(factor_max=float("nan"))
-        with pytest.raises(ValueError, match="finite"):
-            KSearchConfig(factor_max=float("inf"))
+        series = sample_series(LogisticParams(4, 0.3, 100), range(0, 41, 2))
+        # 1.001 is the grid floor, which the ceiling must lie above.
+        for factor in (1.0, 1.001, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="must be finite and exceed 1.001"):
+                fit_logistic(series, factor)
 
     def test_wider_search_reaches_distant_saturation(self):
         truth = LogisticParams(0, 0.8, 1000)
         t_lo = solve_time(truth, 0.05 * truth.k)
         t_hi = solve_time(truth, 0.9 * truth.k)
         ts = [t_lo + (t_hi - t_lo) * i / 14 for i in range(15)]
-        fit = fit_logistic(sample_series(truth, ts), KSearchConfig(factor_max=5.0))
+        fit = fit_logistic(sample_series(truth, ts), 5.0)
         assert rel_err(fit.params.k, 1000.0) < 1e-6
 
     def test_inflection_time(self):

@@ -8,7 +8,6 @@ from techevo import (
     AnalysisReport,
     FmtSeries,
     LogisticParams,
-    PipelineConfig,
     Provenance,
     ReportInputs,
     SyntheticSpec,
@@ -32,14 +31,14 @@ SYNTH_HOST = FIXTURES / "synth_host.csv"
 SYNTH_SUB = FIXTURES / "synth_sub.csv"
 
 
-def run_files(host_csv, sub_csv, config=None):
+def run_files(host_csv, sub_csv, **options):
     """The pipeline on two CSV files, read the way the CLI reads them."""
     return run_pipeline(
         _read_series(host_csv),
         _read_series(sub_csv),
-        config,
         host_file=Path(host_csv).name,
         sub_file=Path(sub_csv).name,
+        **options,
     )
 
 
@@ -81,11 +80,12 @@ class TestRunPipeline:
             run_files(FIXTURES / "nope.csv", POWER_SUB)
 
     def test_no_logistic_config(self):
-        report = run_files(
-            POWER_HOST, POWER_SUB, PipelineConfig(with_logistic=False)
-        )
+        report = run_files(POWER_HOST, POWER_SUB, k_search_factor=None)
         assert report.logistic_host is None
         assert report_to_dict(report)["logistic_fits"] is None
+        assert report.provenance.config == {
+            "alpha": 0.01, "k_search_factor": None, "with_logistic": False,
+        }
 
     def test_logistic_fits_present_by_default(self):
         report = run_files(SYNTH_HOST, SYNTH_SUB)
