@@ -50,15 +50,10 @@ from .pathway import (
     classify_pathway,
 )
 from .report import (
-    AnalysisReport,
     PlotData,
-    Provenance,
-    ReportInputs,
     determinism_digest,
     emit_plot_data,
     emit_table,
-    report_from_json,
-    report_to_dict,
     report_to_json,
     run_pipeline,
     significance_stars,
@@ -132,14 +127,9 @@ __all__ = [
     "generate_pair",
     "early_phase_pair",
     # report
-    "AnalysisReport",
-    "ReportInputs",
-    "Provenance",
     "PlotData",
     "run_pipeline",
-    "report_to_dict",
     "report_to_json",
-    "report_from_json",
     "determinism_digest",
     "emit_table",
     "emit_plot_data",

@@ -108,24 +108,23 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     text = report_to_json(report) if args.format == "json" else emit_table(report)
     if args.plot:
-        # Made first, so that a path that cannot be a directory writes no report.
+        # Written first, so that a plot that cannot be written leaves no report.
         directory = Path(args.plot)
         directory.mkdir(parents=True, exist_ok=True)
+        fits = report["logistic_fits"]
+        for label, series in (("host", host), ("sub", sub)):
+            params = None
+            if fits is not None:
+                f = fits[label]
+                params = LogisticParams(f["a"], f["b"], f["k"])
+            plot = emit_plot_data(series, params)
+            (directory / f"{label}.csv").write_text(plot.csv, encoding="utf-8")
+            (directory / f"{label}.svg").write_text(plot.svg, encoding="utf-8")
+            del plot  # free this plot's text before the next one is built
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-
-    if args.plot:
-        pairs = (
-            ("host", host, report.logistic_host),
-            ("sub", sub, report.logistic_sub),
-        )
-        for label, series, fit in pairs:
-            plot = emit_plot_data(series, None if fit is None else fit.params)
-            (directory / f"{label}.csv").write_text(plot.csv, encoding="utf-8")
-            (directory / f"{label}.svg").write_text(plot.svg, encoding="utf-8")
-            del plot  # free this plot's text before the next one is built
     return EXIT_OK
 
 

@@ -1,14 +1,17 @@
 """Analysis reports: the full pipeline plus deterministic emission.
 
+A report is a plain dict in the JSON layout, the tool's stable machine
+interface; field names are snake_case and frozen.  ``run_pipeline``
+builds one (floats unquantized, no ``digest``) and ``json.loads`` of a
+saved report gives one back; ``report_to_json``, ``determinism_digest``
+and ``emit_table`` take either.
+
 ``run_pipeline`` aligns two series, fits each series' S-curve (unless
 ``k_search_factor`` is None), estimates the evolutionary coefficient and
 classifies the pathway at level ``alpha``.  The report serializes to
 JSON with floats at 12 significant digits (stable across platforms) and
 carries a SHA-256 digest over every field except the provenance
 timestamp, so identical inputs are checkable at a glance.
-
-JSON field names are snake_case and frozen; they are the tool's stable
-machine interface.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from . import __version__
-from .coevolution import EvolutionFit, estimate_evolution
+from .coevolution import estimate_evolution
 from .logistic import (
     DEFAULT_K_SEARCH_FACTOR,
     LogisticFit,
@@ -28,7 +31,7 @@ from .logistic import (
     fit_logistic,
     logistic_value,
 )
-from .pathway import DEFAULT_ALPHA, PathwayClass, classify_pathway
+from .pathway import DEFAULT_ALPHA, classify_pathway
 from .series import FmtSeries, align
 from .stats import _t_ratio, t_two_sided_p
 
@@ -39,41 +42,18 @@ TOOL_NAME = "techevo"
 FLOAT_DIGITS = 12
 
 
-@dataclass(frozen=True)
-class ReportInputs:
-    host_file: str
-    sub_file: str
-    host_name: str
-    sub_name: str
-    host_unit: str
-    sub_unit: str
-    n_host: int
-    n_sub: int
-    n_aligned: int
-    t_min: float
-    t_max: float
-
-
-@dataclass(frozen=True)
-class Provenance:
-    tool: str
-    version: str
-    config: dict
-    timestamp: str
-
-
-@dataclass(frozen=True)
-class AnalysisReport:
-    inputs: ReportInputs
-    evolution: EvolutionFit
-    pathway: PathwayClass
-    logistic_host: LogisticFit | None
-    logistic_sub: LogisticFit | None
-    provenance: Provenance
-
-
 def _utc_now() -> str:
     return _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
+
+
+def _logistic_fit_dict(fit: LogisticFit) -> dict:
+    return {
+        "a": fit.params.a,
+        "b": fit.params.b,
+        "k": fit.params.k,
+        "sse_linearized": fit.sse_linearized,
+        "r2_linearized": fit.r2_linearized,
+    }
 
 
 def run_pipeline(
@@ -84,58 +64,62 @@ def run_pipeline(
     sub_file: str,
     alpha: float = DEFAULT_ALPHA,
     k_search_factor: float | None = DEFAULT_K_SEARCH_FACTOR,
-) -> AnalysisReport:
+) -> dict:
     """Align, (optionally) fit, estimate and classify two series.
 
+    Returns the report as a dict in the documented JSON layout, with
+    unquantized floats and no ``digest``; ``report_to_json`` adds both.
     ``alpha`` is the level of the pathway test and ``k_search_factor``
     the ceiling of each series' k search, checked by ``fit_logistic``;
-    None fits no S-curve.  Reads and writes no file.  ``host_file`` and
-    ``sub_file`` are the names the report records for its inputs; pass
-    file names, not paths, so reports and digests stay identical across
-    checkouts and working directories.  Errors from any stage propagate
-    unchanged; the CLI maps them onto its exit-code contract.
+    None fits no S-curve and leaves ``logistic_fits`` None.  Reads and
+    writes no file.  ``host_file`` and ``sub_file`` are the names the
+    report records for its inputs; pass file names, not paths, so
+    reports and digests stay identical across checkouts and working
+    directories.  Errors from any stage propagate unchanged; the CLI maps
+    them onto its exit-code contract.
     """
     pair = align(host, sub)
 
-    fit_host = fit_sub = None
+    fits = None
     if k_search_factor is not None:
-        fit_host = fit_logistic(host, k_search_factor)
-        fit_sub = fit_logistic(sub, k_search_factor)
+        fits = {
+            "host": _logistic_fit_dict(fit_logistic(host, k_search_factor)),
+            "sub": _logistic_fit_dict(fit_logistic(sub, k_search_factor)),
+        }
 
     evolution = estimate_evolution(pair)
     pathway = classify_pathway(evolution, alpha)
 
-    inputs = ReportInputs(
-        host_file=host_file,
-        sub_file=sub_file,
-        host_name=host.name,
-        sub_name=sub.name,
-        host_unit=host.unit,
-        sub_unit=sub.unit,
-        n_host=len(host),
-        n_sub=len(sub),
-        n_aligned=len(pair),
-        t_min=pair.rows[0][0],
-        t_max=pair.rows[-1][0],
-    )
-    provenance = Provenance(
-        tool=TOOL_NAME,
-        version=__version__,
-        config={
-            "alpha": alpha,
-            "k_search_factor": k_search_factor,
-            "with_logistic": k_search_factor is not None,
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "inputs": {
+            "host_file": host_file,
+            "sub_file": sub_file,
+            "host_name": host.name,
+            "sub_name": sub.name,
+            "host_unit": host.unit,
+            "sub_unit": sub.unit,
+            "n_host": len(host),
+            "n_sub": len(sub),
+            "n_aligned": len(pair),
+            "t_min": pair.rows[0][0],
+            "t_max": pair.rows[-1][0],
         },
-        timestamp=_utc_now(),
-    )
-    return AnalysisReport(
-        inputs=inputs,
-        evolution=evolution,
-        pathway=pathway,
-        logistic_host=fit_host,
-        logistic_sub=fit_sub,
-        provenance=provenance,
-    )
+        "logistic_fits": fits,
+        # These dataclasses' field order is the blocks' key order.
+        "evolution": dict(vars(evolution)),
+        "pathway": dict(vars(pathway)),
+        "provenance": {
+            "tool": TOOL_NAME,
+            "version": __version__,
+            "config": {
+                "alpha": alpha,
+                "k_search_factor": k_search_factor,
+                "with_logistic": k_search_factor is not None,
+            },
+            "timestamp": _utc_now(),
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -160,46 +144,14 @@ def _quantize(obj):
     return obj
 
 
-def _logistic_fit_dict(fit: LogisticFit) -> dict:
-    return {
-        "a": fit.params.a,
-        "b": fit.params.b,
-        "k": fit.params.k,
-        "sse_linearized": fit.sse_linearized,
-        "r2_linearized": fit.r2_linearized,
-    }
-
-
-def report_to_dict(report: AnalysisReport) -> dict:
-    """Plain-dict form of a report (the JSON layout, before quantization).
-
-    The ``inputs``, ``evolution``, ``pathway`` and ``provenance`` blocks
-    are their dataclasses' fields, in field order.
-    """
-    fits = {
-        label: None if fit is None else _logistic_fit_dict(fit)
-        for label, fit in (("host", report.logistic_host), ("sub", report.logistic_sub))
-    }
-    provenance = dict(vars(report.provenance))
-    provenance["config"] = dict(report.provenance.config)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "inputs": dict(vars(report.inputs)),
-        "logistic_fits": fits if any(fits.values()) else None,
-        "evolution": dict(vars(report.evolution)),
-        "pathway": dict(vars(report.pathway)),
-        "provenance": provenance,
-    }
-
-
-def determinism_digest(report: AnalysisReport | dict) -> str:
+def determinism_digest(report: dict) -> str:
     """SHA-256 over the quantized report with the timestamp blanked.
 
     Identical inputs and config yield identical digests across runs; the
-    timestamp is the one field allowed to differ.
+    timestamp is the one field allowed to differ.  Any ``digest`` the
+    report already carries is left out.
     """
-    d = report_to_dict(report) if isinstance(report, AnalysisReport) else dict(report)
-    d = _quantize(d)
+    d = _quantize(report)
     d.pop("digest", None)
     prov = dict(d.get("provenance") or {})
     prov.pop("timestamp", None)
@@ -208,42 +160,11 @@ def determinism_digest(report: AnalysisReport | dict) -> str:
     return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def report_to_json(report: AnalysisReport) -> str:
+def report_to_json(report: dict) -> str:
     """Pretty JSON with quantized floats and an embedded digest."""
-    d = _quantize(report_to_dict(report))
+    d = _quantize(report)
     d["digest"] = determinism_digest(d)
     return json.dumps(d, indent=2) + "\n"
-
-
-def report_from_json(text: str) -> AnalysisReport:
-    """Rebuild a report from its JSON form.
-
-    Search traces and evaluation counts are not serialized, so
-    reconstructed logistic fits carry an empty trace and ``sse_evals=0``;
-    every serialized field round-trips exactly.
-    """
-    d = json.loads(text)
-    fits = d.get("logistic_fits")
-
-    def _fit(sub: dict | None) -> LogisticFit | None:
-        if sub is None:
-            return None
-        return LogisticFit(
-            params=LogisticParams(a=sub["a"], b=sub["b"], k=sub["k"]),
-            sse_linearized=sub["sse_linearized"],
-            r2_linearized=sub["r2_linearized"],
-            k_search_trace=(),
-            sse_evals=0,
-        )
-
-    return AnalysisReport(
-        inputs=ReportInputs(**d["inputs"]),
-        evolution=EvolutionFit(**d["evolution"]),
-        pathway=PathwayClass(**d["pathway"]),
-        logistic_host=None if fits is None else _fit(fits.get("host")),
-        logistic_sub=None if fits is None else _fit(fits.get("sub")),
-        provenance=Provenance(**d["provenance"]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -281,18 +202,18 @@ def _fmt_stat(v: float) -> str:
     return f"{v:.6g}"
 
 
-def emit_table(report: AnalysisReport) -> str:
+def emit_table(report: dict) -> str:
     """Fixed-width summary table: coefficients with SEs beneath-style cells,
     adjusted R² with the residual SE, F with its significance, and n."""
-    ev = report.evolution
-    p_const = t_two_sided_p(_t_ratio(ev.log_a, ev.se_log_a), ev.n - 2)
+    ev = report["evolution"]
+    p_const = t_two_sided_p(_t_ratio(ev["log_a"], ev["se_log_a"]), ev["n"] - 2)
 
     cells = [
-        f"{ev.log_a:.2f}{significance_stars(p_const)} ({ev.se_log_a:.2f})",
-        f"{ev.b:.2f}{significance_stars(ev.p_b)} ({ev.se_b:.2f})",
-        f"{ev.r2_adj:.2f} ({ev.see:.2f})",
-        f"{_fmt_stat(ev.f_stat)} ({_fmt_sign(ev.p_f)})",
-        str(ev.n),
+        f"{ev['log_a']:.2f}{significance_stars(p_const)} ({ev['se_log_a']:.2f})",
+        f"{ev['b']:.2f}{significance_stars(ev['p_b'])} ({ev['se_b']:.2f})",
+        f"{ev['r2_adj']:.2f} ({ev['see']:.2f})",
+        f"{_fmt_stat(ev['f_stat'])} ({_fmt_sign(ev['p_f'])})",
+        str(ev["n"]),
     ]
     headers = ["Constant α", "Evolutionary coefficient β=B", "R² adj.", "F", "n"]
     subheaders = ["(St. Err.)", "(St. Err.)", "(St. Err. of the Estimate)", "(sign.)", ""]
@@ -303,18 +224,18 @@ def emit_table(report: AnalysisReport) -> str:
     def row(items: list[str]) -> str:
         return "  ".join(item.ljust(w) for item, w in zip(items, widths)).rstrip()
 
-    pw = report.pathway
+    pw = report["pathway"]
     lines = [
-        f"Dependent variable:   ln({report.inputs.sub_name})",
-        f"Explanatory variable: ln({report.inputs.host_name})",
+        f"Dependent variable:   ln({report['inputs']['sub_name']})",
+        f"Explanatory variable: ln({report['inputs']['host_name']})",
         "",
         row(headers),
         row(subheaders),
         row(cells),
         "",
         "Significance: * p<0.10, ** p<0.05, *** p<0.01 (two-sided).",
-        f"Pathway: {pw.label} (B {pw.direction} 1, {_fmt_p_phrase(pw.p_b_vs_1)} "
-        f"vs B=1 at α={pw.alpha:g})",
+        f"Pathway: {pw['label']} (B {pw['direction']} 1, {_fmt_p_phrase(pw['p_b_vs_1'])} "
+        f"vs B=1 at α={pw['alpha']:g})",
     ]
     return "\n".join(lines) + "\n"
 

@@ -201,8 +201,13 @@ def generate_pair(spec: SyntheticSpec) -> AlignedPair:
     n = spec.n_points
     dt = (spec.t_end - spec.t_start) / (n - 1)
     ts = [spec.t_start + i * dt for i in range(n)]
-    if not math.isfinite(ts[-1]):
-        raise ValueError(f"the time grid overflows before t_end {spec.t_end!r}")
+    # Past the largest float the last time overflows; over a span of a few
+    # ulps, neighbouring times round to the same float.
+    if not math.isfinite(ts[-1]) or any(a >= b for a, b in zip(ts, ts[1:])):
+        raise ValueError(
+            f"n_points {n!r} from t_start {spec.t_start!r} to t_end {spec.t_end!r} "
+            "give a time grid that is not finite and strictly increasing"
+        )
     rng = SplitMix64(spec.seed)
     host_vals = _noisy_values(spec.host_params, ts, spec.noise_sigma, rng)
     sub_vals = _noisy_values(spec.sub_params, ts, spec.noise_sigma, rng)

@@ -94,6 +94,18 @@ class TestHappyPaths:
         assert not out.exists()
         assert capsys.readouterr().out == ""
 
+    def test_plot_file_that_cannot_be_written_writes_no_report(self, tmp_path, capsys):
+        plots = tmp_path / "plots"
+        (plots / "host.csv").mkdir(parents=True)
+        out = tmp_path / "r.json"
+        args = ["report", "--host", SYNTH[0], "--sub", SYNTH[1], "--plot", str(plots)]
+        assert main([*args, "--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
+        assert main(args) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("IsADirectoryError") == 2
+
     def test_plot_determinism(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         for d in (a_dir, b_dir):
@@ -254,6 +266,8 @@ class TestExitCodes:
             ["--host-params", "4,0.3,1e308", "--noise-sigma", "0.5"],
             ["--t-start", "-3000"],  # the noise-free host underflows to 0
             ["--t-end", "1.7976931348623157e308", "--n-points", "7"],
+            # The span is a few ulps, so grid times round to equal floats.
+            ["--t-start", "1e300", "--t-end", "1.0000000000000002e300"],
         ],
     )
     def test_simulate_value_outside_the_floats_is_a_config_error(
