@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from pathlib import Path
 
 from . import __version__
 from .errors import (
@@ -70,11 +70,28 @@ def _fail(exc: BaseException, code: int) -> int:
     return code
 
 
+def _stem(path: str) -> str:
+    """The file name without its last suffix; a leading or trailing dot
+    starts no suffix (``.h.csv`` -> ``.h``, ``.h`` -> ``.h``)."""
+    name = os.path.basename(path)
+    dot = name.rfind(".")
+    return name[:dot] if 0 < dot < len(name) - 1 else name
+
+
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+
+
 def _read_series(path: str, name: str | None = None) -> FmtSeries:
     """Read and parse one CSV; the series is named after the file stem
     unless ``name`` is given."""
-    p = Path(path)
-    return parse_fmt_csv(p.read_text(encoding="utf-8"), name or p.stem)
+    return parse_fmt_csv(_read_text(path), name or _stem(path))
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
@@ -103,14 +120,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
     sub = _read_series(args.sub)
     factor = None if args.no_logistic else args.k_search_factor
     report = run_pipeline(
-        host, sub, host_file=Path(args.host).name, sub_file=Path(args.sub).name,
-        alpha=args.alpha, k_search_factor=factor,
+        host, sub, host_file=os.path.basename(args.host),
+        sub_file=os.path.basename(args.sub), alpha=args.alpha, k_search_factor=factor,
     )
     text = report_to_json(report) if args.format == "json" else emit_table(report)
     if args.plot:
-        # Written first, so that a plot that cannot be written leaves no report.
-        directory = Path(args.plot)
-        directory.mkdir(parents=True, exist_ok=True)
+        # Plots are written before the report, so that a plot that cannot be
+        # written leaves no report; the report's directory is checked first,
+        # so that a report that cannot be written for want of it leaves no plots.
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise FileNotFoundError(f"no directory for the --out file {args.out!r}")
+        os.makedirs(args.plot, exist_ok=True)
         fits = report["logistic_fits"]
         for label, series in (("host", host), ("sub", sub)):
             params = None
@@ -118,11 +138,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 f = fits[label]
                 params = LogisticParams(f["a"], f["b"], f["k"])
             plot = emit_plot_data(series, params)
-            (directory / f"{label}.csv").write_text(plot.csv, encoding="utf-8")
-            (directory / f"{label}.svg").write_text(plot.svg, encoding="utf-8")
+            _write_text(os.path.join(args.plot, f"{label}.csv"), plot.csv)
+            _write_text(os.path.join(args.plot, f"{label}.svg"), plot.svg)
             del plot  # free this plot's text before the next one is built
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -139,8 +159,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     pair = generate_pair(spec)
-    Path(args.out_host).write_text(serialize_fmt_csv(pair.host), encoding="utf-8")
-    Path(args.out_sub).write_text(serialize_fmt_csv(pair.sub), encoding="utf-8")
+    _write_text(args.out_host, serialize_fmt_csv(pair.host))
+    _write_text(args.out_sub, serialize_fmt_csv(pair.sub))
     print(f"wrote {args.out_host} and {args.out_sub} (n={len(pair)}, seed={spec.seed})")
     return EXIT_OK
 

@@ -18,57 +18,67 @@ rescaling of either series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import NonPositiveValue, ValueAtSaturation
 from .logistic import LogisticParams
 from .series import AlignedPair
 from .stats import _t_ratio, f_sf, ols_simple, t_two_sided_p
 
 
-@dataclass(frozen=True)
-class EvolutionFit:
+class EvolutionFit(Record):
     """Log-log OLS result for ln P = log_a + b * ln H.
 
     ``b`` is the evolutionary coefficient; ``a = exp(log_a)`` is the
     proportionality constant of P = a * H**b.  Hypothesis tests cover both
     b = 0 (is there a relation at all) and b = 1 (does the subsystem keep
     pace with its host), each two-sided with n - 2 degrees of freedom.
+    The fields' order is the key order of the report's ``evolution`` block.
     """
 
-    log_a: float
-    a: float
-    b: float
-    se_log_a: float
-    se_b: float
-    t_b: float
-    p_b: float
-    t_b_vs_1: float
-    p_b_vs_1: float
-    r2: float
-    r2_adj: float
-    f_stat: float
-    p_f: float
-    see: float
-    n: int
+    __slots__ = (
+        "log_a", "a", "b", "se_log_a", "se_b", "t_b", "p_b", "t_b_vs_1", "p_b_vs_1",
+        "r2", "r2_adj", "f_stat", "p_f", "see", "n",
+    )
 
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError(f"n must be >= 3, got {self.n!r}")
-        if self.se_b < 0.0 or self.se_log_a < 0.0:
+    def __init__(
+        self, log_a: float, a: float, b: float, se_log_a: float, se_b: float,
+        t_b: float, p_b: float, t_b_vs_1: float, p_b_vs_1: float, r2: float,
+        r2_adj: float, f_stat: float, p_f: float, see: float, n: int,
+    ) -> None:
+        if n < 3:
+            raise ValueError(f"n must be >= 3, got {n!r}")
+        if se_b < 0.0 or se_log_a < 0.0:
             raise ValueError("standard errors cannot be negative")
+        object.__setattr__(self, "log_a", log_a)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "se_log_a", se_log_a)
+        object.__setattr__(self, "se_b", se_b)
+        object.__setattr__(self, "t_b", t_b)
+        object.__setattr__(self, "p_b", p_b)
+        object.__setattr__(self, "t_b_vs_1", t_b_vs_1)
+        object.__setattr__(self, "p_b_vs_1", p_b_vs_1)
+        object.__setattr__(self, "r2", r2)
+        object.__setattr__(self, "r2_adj", r2_adj)
+        object.__setattr__(self, "f_stat", f_stat)
+        object.__setattr__(self, "p_f", p_f)
+        object.__setattr__(self, "see", see)
+        object.__setattr__(self, "n", n)
 
     @property
     def df(self) -> int:
         return self.n - 2
 
 
-@dataclass(frozen=True)
-class RelationConstant:
+class RelationConstant(Record):
     """Constant c1 and exponent b1/b2 of the odds-coupling identity."""
 
-    c1: float
-    exponent: float
+    __slots__ = ("c1", "exponent")
+
+    def __init__(self, c1: float, exponent: float) -> None:
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "exponent", exponent)
 
 
 def estimate_evolution(pair: AlignedPair) -> EvolutionFit:

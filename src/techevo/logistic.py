@@ -42,8 +42,8 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .errors import (
     ConfigError,
     DegenerateX,
@@ -59,21 +59,21 @@ from .stats import _LineFit
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-@dataclass(frozen=True)
-class LogisticParams:
+class LogisticParams(Record):
     """Parameters (a, b, k) of value(t) = k / (1 + exp(a - b*t))."""
 
-    a: float
-    b: float
-    k: float
+    __slots__ = ("a", "b", "k")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and math.isfinite(self.k)):
+    def __init__(self, a: float, b: float, k: float) -> None:
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(k)):
             raise ValueError("logistic parameters must be finite")
-        if self.b <= 0.0:
-            raise ValueError(f"growth rate b must be positive, got {self.b!r}")
-        if self.k <= 0.0:
-            raise ValueError(f"saturation level k must be positive, got {self.k!r}")
+        if b <= 0.0:
+            raise ValueError(f"growth rate b must be positive, got {b!r}")
+        if k <= 0.0:
+            raise ValueError(f"saturation level k must be positive, got {k!r}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "k", k)
 
     @property
     def inflection_time(self) -> float:
@@ -97,8 +97,7 @@ _U_TOL = 1e-9
 _SCAN_POINTS = 512
 
 
-@dataclass(frozen=True)
-class LogisticFit:
+class LogisticFit(Record):
     """Fitted parameters plus linearized-regression diagnostics.
 
     ``k_search_trace`` records (k candidate, scan SSE) for every floor and
@@ -108,14 +107,25 @@ class LogisticFit:
     full-data SSEs.  ``sse_evals`` counts every SSE the search computed:
     the scan's, the full-data re-evaluations of candidates and Brent's
     steps; the one refit of the winner's line for its slope and intercept
-    is not counted.
+    is not counted.  The repr leaves out the trace and the count.
     """
 
-    params: LogisticParams
-    sse_linearized: float
-    r2_linearized: float
-    k_search_trace: tuple[tuple[float, float], ...] = field(repr=False)
-    sse_evals: int = field(repr=False)
+    __slots__ = ("params", "sse_linearized", "r2_linearized", "k_search_trace", "sse_evals")
+    _hidden = ("k_search_trace", "sse_evals")
+
+    def __init__(
+        self,
+        params: LogisticParams,
+        sse_linearized: float,
+        r2_linearized: float,
+        k_search_trace: tuple[tuple[float, float], ...],
+        sse_evals: int,
+    ) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "sse_linearized", sse_linearized)
+        object.__setattr__(self, "r2_linearized", r2_linearized)
+        object.__setattr__(self, "k_search_trace", k_search_trace)
+        object.__setattr__(self, "sse_evals", sse_evals)
 
 
 def logistic_value(params: LogisticParams, t: float) -> float:

@@ -9,8 +9,7 @@ test cannot reject B = 1 stays Inconclusive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .coevolution import EvolutionFit
 from .errors import InvalidAlpha
 
@@ -27,15 +26,22 @@ PARALLEL_TOL = 1e-12
 DEFAULT_ALPHA = 0.01
 
 
-@dataclass(frozen=True)
-class PathwayClass:
-    """Verdict plus the basis it was decided on."""
+class PathwayClass(Record):
+    """Verdict plus the basis it was decided on.  ``direction`` is "below",
+    "above" or "equal" relative to b = 1.  The fields' order is the key
+    order of the report's ``pathway`` block.
+    """
 
-    label: str
-    alpha: float
-    b_estimate: float
-    p_b_vs_1: float
-    direction: str  # "below", "above" or "equal" relative to b = 1
+    __slots__ = ("label", "alpha", "b_estimate", "p_b_vs_1", "direction")
+
+    def __init__(
+        self, label: str, alpha: float, b_estimate: float, p_b_vs_1: float, direction: str
+    ) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "b_estimate", b_estimate)
+        object.__setattr__(self, "p_b_vs_1", p_b_vs_1)
+        object.__setattr__(self, "direction", direction)
 
 
 def classify_pathway(fit: EvolutionFit, alpha: float = DEFAULT_ALPHA) -> PathwayClass:

@@ -16,13 +16,13 @@ timestamp, so identical inputs are checkable at a glance.
 
 from __future__ import annotations
 
-import datetime as _dt
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+import time
 
 from . import __version__
+from ._record import Record
 from .coevolution import estimate_evolution
 from .logistic import (
     DEFAULT_K_SEARCH_FACTOR,
@@ -43,7 +43,7 @@ FLOAT_DIGITS = 12
 
 
 def _utc_now() -> str:
-    return _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 def _logistic_fit_dict(fit: LogisticFit) -> dict:
@@ -106,9 +106,8 @@ def run_pipeline(
             "t_max": pair.rows[-1][0],
         },
         "logistic_fits": fits,
-        # These dataclasses' field order is the blocks' key order.
-        "evolution": dict(vars(evolution)),
-        "pathway": dict(vars(pathway)),
+        "evolution": evolution._asdict(),
+        "pathway": pathway._asdict(),
         "provenance": {
             "tool": TOOL_NAME,
             "version": __version__,
@@ -250,10 +249,14 @@ _SVG_MARGIN = 48.0
 _CURVE_SAMPLES = 200
 
 
-@dataclass(frozen=True)
-class PlotData:
-    csv: str
-    svg: str
+class PlotData(Record):
+    """One series' plot artifacts: the CSV text and the SVG text."""
+
+    __slots__ = ("csv", "svg")
+
+    def __init__(self, csv: str, svg: str) -> None:
+        object.__setattr__(self, "csv", csv)
+        object.__setattr__(self, "svg", svg)
 
 
 def emit_plot_data(series: FmtSeries, params: LogisticParams | None = None) -> PlotData:

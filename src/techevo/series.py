@@ -13,8 +13,8 @@ line, LF or CRLF endings, dot decimal separator, no thousands separators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .errors import (
     DuplicateTimestamp,
     InsufficientOverlap,
@@ -29,8 +29,7 @@ MIN_POINTS = 3
 CSV_HEADER = "t,value"
 
 
-@dataclass(frozen=True)
-class FmtSeries:
+class FmtSeries(Record):
     """One technology's FMT trace.
 
     Points are (t, value) pairs, strictly increasing in t, every value
@@ -40,32 +39,30 @@ class FmtSeries:
     across tasks.
     """
 
-    name: str
-    points: tuple[tuple[float, float], ...]
-    unit: str = ""
+    __slots__ = ("name", "points", "unit")
 
-    def __post_init__(self) -> None:
-        pts = tuple((float(t), float(v)) for t, v in self.points)
+    def __init__(
+        self, name: str, points: tuple[tuple[float, float], ...], unit: str = ""
+    ) -> None:
+        pts = tuple((float(t), float(v)) for t, v in points)
         pts = tuple(sorted(pts, key=lambda p: p[0]))
-        object.__setattr__(self, "points", pts)
         for t, v in pts:
             if not (math.isfinite(t) and math.isfinite(v)):
-                raise NonPositiveValue(
-                    f"series {self.name!r}: non-finite point ({t!r}, {v!r})"
-                )
+                raise NonPositiveValue(f"series {name!r}: non-finite point ({t!r}, {v!r})")
             if v <= 0.0:
                 raise NonPositiveValue(
-                    f"series {self.name!r}: value {v!r} at t={t!r} is not positive"
+                    f"series {name!r}: value {v!r} at t={t!r} is not positive"
                 )
         for (t0, _), (t1, _) in zip(pts, pts[1:]):
             if t0 == t1:
-                raise DuplicateTimestamp(
-                    f"series {self.name!r}: duplicate timestamp t={t0!r}"
-                )
+                raise DuplicateTimestamp(f"series {name!r}: duplicate timestamp t={t0!r}")
         if len(pts) < MIN_POINTS:
             raise TooFewPoints(
-                f"series {self.name!r} has {len(pts)} points; need >= {MIN_POINTS}"
+                f"series {name!r} has {len(pts)} points; need >= {MIN_POINTS}"
             )
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "unit", unit)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -93,8 +90,7 @@ class FmtSeries:
         )
 
 
-@dataclass(frozen=True)
-class AlignedPair:
+class AlignedPair(Record):
     """A host series H and a subsystem series P joined on shared timestamps.
 
     ``rows`` is derived, not passed: it holds (t, h_value, p_value) for
@@ -102,20 +98,18 @@ class AlignedPair:
     value, in increasing t order.  No interpolation.
     """
 
-    host: FmtSeries
-    sub: FmtSeries
-    rows: tuple[tuple[float, float, float], ...] = field(init=False)
+    __slots__ = ("host", "sub", "rows")
 
-    def __post_init__(self) -> None:
-        sub_by_t = dict(self.sub.points)
-        rows = tuple(
-            (t, h, sub_by_t[t]) for t, h in self.host.points if t in sub_by_t
-        )
+    def __init__(self, host: FmtSeries, sub: FmtSeries) -> None:
+        sub_by_t = dict(sub.points)
+        rows = tuple((t, h, sub_by_t[t]) for t, h in host.points if t in sub_by_t)
         if len(rows) < MIN_POINTS:
             raise InsufficientOverlap(
-                f"{len(rows)} common timestamps between {self.host.name!r} "
-                f"and {self.sub.name!r}; need >= {MIN_POINTS}"
+                f"{len(rows)} common timestamps between {host.name!r} "
+                f"and {sub.name!r}; need >= {MIN_POINTS}"
             )
+        object.__setattr__(self, "host", host)
+        object.__setattr__(self, "sub", sub)
         object.__setattr__(self, "rows", rows)
 
     def __len__(self) -> int:

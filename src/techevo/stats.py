@@ -20,35 +20,46 @@ freedom up to 1e6.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections.abc import Sequence
 
+from ._record import Record
 from .errors import DegenerateX, LengthMismatch, TooFewPoints
 
 
-@dataclass(frozen=True)
-class OlsCore:
+class OlsCore(Record):
     """Simple-regression result: coefficients, SEs, t's, fit statistics.
 
     ``f_stat`` comes from the ANOVA decomposition (regression sum of
     squares over residual mean square), not from squaring the t statistic,
     so the single-regressor identity F = t^2 is a genuine numerical check.
+    The repr leaves out the residuals.
     """
 
-    slope: float
-    intercept: float
-    se_slope: float
-    se_intercept: float
-    t_slope: float
-    t_intercept: float
-    r2: float
-    r2_adj: float
-    f_stat: float
-    see: float
-    sse: float
-    n: int
-    df: int
-    residuals: tuple[float, ...] = field(repr=False)
+    __slots__ = (
+        "slope", "intercept", "se_slope", "se_intercept", "t_slope", "t_intercept",
+        "r2", "r2_adj", "f_stat", "see", "sse", "n", "df", "residuals",
+    )
+    _hidden = ("residuals",)
+
+    def __init__(
+        self, slope: float, intercept: float, se_slope: float, se_intercept: float,
+        t_slope: float, t_intercept: float, r2: float, r2_adj: float, f_stat: float,
+        see: float, sse: float, n: int, df: int, residuals: tuple[float, ...],
+    ) -> None:
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "intercept", intercept)
+        object.__setattr__(self, "se_slope", se_slope)
+        object.__setattr__(self, "se_intercept", se_intercept)
+        object.__setattr__(self, "t_slope", t_slope)
+        object.__setattr__(self, "t_intercept", t_intercept)
+        object.__setattr__(self, "r2", r2)
+        object.__setattr__(self, "r2_adj", r2_adj)
+        object.__setattr__(self, "f_stat", f_stat)
+        object.__setattr__(self, "see", see)
+        object.__setattr__(self, "sse", sse)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "df", df)
+        object.__setattr__(self, "residuals", residuals)
 
 
 def _t_ratio(estimate: float, se: float) -> float:

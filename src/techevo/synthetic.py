@@ -50,9 +50,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
+from ._record import Record
 from .errors import EmptyEarlyPhase
 from .logistic import LogisticParams, logistic_value
 from .series import AlignedPair, FmtSeries
@@ -140,39 +140,48 @@ def _pack(lanes: Sequence[int]) -> int:
     return int.from_bytes(words, sys.byteorder)
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(Record):
     """Everything needed to reproduce one synthetic pair exactly."""
 
-    host_params: LogisticParams
-    sub_params: LogisticParams
-    t_start: float
-    t_end: float
-    n_points: int
-    noise_sigma: float = 0.0
-    seed: int = 0
+    __slots__ = (
+        "host_params", "sub_params", "t_start", "t_end", "n_points", "noise_sigma", "seed",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        host_params: LogisticParams,
+        sub_params: LogisticParams,
+        t_start: float,
+        t_end: float,
+        n_points: int,
+        noise_sigma: float = 0.0,
+        seed: int = 0,
+    ) -> None:
         # Non-finite if either end is, or if the span overflows.
-        if not math.isfinite(self.t_end - self.t_start):
+        if not math.isfinite(t_end - t_start):
             raise ValueError(
-                f"t_start {self.t_start!r}, t_end {self.t_end!r} and the span "
-                "between them must be finite"
+                f"t_start {t_start!r}, t_end {t_end!r} and the span between them "
+                "must be finite"
             )
-        if not self.t_start < self.t_end:
+        if not t_start < t_end:
+            raise ValueError(f"t_start {t_start!r} must precede t_end {t_end!r}")
+        if not 3 <= n_points <= _MAX_POINTS:
             raise ValueError(
-                f"t_start {self.t_start!r} must precede t_end {self.t_end!r}"
+                f"n_points must lie in [3, {_MAX_POINTS}], got {n_points!r}"
             )
-        if not 3 <= self.n_points <= _MAX_POINTS:
+        if not 0.0 <= noise_sigma < math.inf:
             raise ValueError(
-                f"n_points must lie in [3, {_MAX_POINTS}], got {self.n_points!r}"
+                f"noise_sigma must be finite and >= 0, got {noise_sigma!r}"
             )
-        if not 0.0 <= self.noise_sigma < math.inf:
-            raise ValueError(
-                f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}"
-            )
-        if not 0 <= self.seed <= _MASK64:
-            raise ValueError(f"seed {self.seed!r} outside [0, 2**64)")
+        if not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed {seed!r} outside [0, 2**64)")
+        object.__setattr__(self, "host_params", host_params)
+        object.__setattr__(self, "sub_params", sub_params)
+        object.__setattr__(self, "t_start", t_start)
+        object.__setattr__(self, "t_end", t_end)
+        object.__setattr__(self, "n_points", n_points)
+        object.__setattr__(self, "noise_sigma", noise_sigma)
+        object.__setattr__(self, "seed", seed)
 
 
 def _noisy_values(

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import techevo.cli
 from conftest import FIXTURES
 from techevo.cli import (
     EXIT_ALIGNMENT,
@@ -106,6 +107,34 @@ class TestHappyPaths:
         assert captured.out == ""
         assert captured.err.count("IsADirectoryError") == 2
 
+    def test_out_file_in_a_missing_directory_writes_no_plots(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        plots = tmp_path / "plots"
+        args = ["report", "--host", SYNTH[0], "--sub", SYNTH[1], "--plot", str(plots)]
+        assert main([*args, "--out", str(tmp_path / "missing" / "r.json")]) == EXIT_INPUT
+        assert not plots.exists()
+        assert capsys.readouterr().out == ""
+        # An --out file name with no directory part is written in the working one.
+        monkeypatch.chdir(tmp_path)
+        assert main([*args, "--out", "r.json"]) == EXIT_OK
+        assert (tmp_path / "r.json").exists() and (plots / "sub.svg").exists()
+
+    @pytest.mark.parametrize(
+        "name, stem",
+        [("x.tar.csv", "x.tar"), (".h.csv", ".h"), (".h", ".h"), ("x.", "x."), ("x", "x")],
+    )
+    def test_series_named_after_the_file_stem(self, name, stem, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        (tmp_path / "d" / name).write_bytes(Path(SYNTH[0]).read_bytes())
+        (tmp_path / name).write_bytes(Path(SYNTH[1]).read_bytes())
+        for host, sub in ((f"./d/{name}", name), (f"d/{name}", f"./{name}")):
+            assert main(["report", "--host", host, "--sub", sub, "--no-logistic"]) == EXIT_OK
+            inputs = json.loads(capsys.readouterr().out)["inputs"]
+            assert inputs["host_file"] == inputs["sub_file"] == name
+            assert inputs["host_name"] == inputs["sub_name"] == stem
+
     def test_plot_determinism(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         for d in (a_dir, b_dir):
@@ -129,13 +158,13 @@ class TestHappyPaths:
 
     def test_report_plot_reads_each_input_once(self, tmp_path, monkeypatch):
         reads = []
-        read_text = Path.read_text
+        read_text = techevo.cli._read_text
 
-        def counting(self, *args, **kwargs):
-            reads.append(self.name)
-            return read_text(self, *args, **kwargs)
+        def counting(path):
+            reads.append(os.path.basename(path))
+            return read_text(path)
 
-        monkeypatch.setattr(Path, "read_text", counting)
+        monkeypatch.setattr(techevo.cli, "_read_text", counting)
         code = main(
             [
                 "report", "--host", SYNTH[0], "--sub", SYNTH[1],
@@ -326,6 +355,9 @@ def test_cli_imports_only_the_standard_library():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
     assert "techevo.cli" in out
+    # Kept off the start-up path: dataclasses alone pulls in inspect, ast,
+    # dis and tokenize.
+    assert not {"dataclasses", "inspect", "datetime", "typing", "pathlib"} & set(out)
     foreign = [
         name
         for name in out

@@ -1,4 +1,6 @@
 import json
+import re
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -54,8 +56,8 @@ def stub_report(fit, alpha=0.01):
             "t_max": 1.0,
         },
         "logistic_fits": None,
-        "evolution": vars(fit),
-        "pathway": vars(classify_pathway(fit, alpha)),
+        "evolution": fit._asdict(),
+        "pathway": classify_pathway(fit, alpha)._asdict(),
         "provenance": {
             "tool": "techevo", "version": "0.0-test", "config": {"alpha": alpha},
             "timestamp": "T",
@@ -120,6 +122,12 @@ class TestSerialization:
         d = {**r1, "provenance": dict(r1["provenance"])}
         d["provenance"]["timestamp"] = "2099-01-01T00:00:00+00:00"
         assert determinism_digest(d) == determinism_digest(r1)
+
+    def test_timestamp_is_utc_to_the_second(self):
+        stamp = run_files(POWER_HOST, POWER_SUB)["provenance"]["timestamp"]
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp)
+        age = datetime.now(timezone.utc) - datetime.fromisoformat(stamp)
+        assert abs(age.total_seconds()) < 5
 
     @pytest.mark.parametrize(
         "pair", [(SYNTH_HOST, SYNTH_SUB), (POWER_HOST, POWER_SUB)], ids=["synth", "power"]

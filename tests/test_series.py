@@ -1,10 +1,27 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from techevo import FmtSeries, align, parse_fmt_csv, serialize_fmt_csv
+from conftest import sample_series
+from techevo import (
+    FmtSeries,
+    LogisticParams,
+    SyntheticSpec,
+    align,
+    classify_pathway,
+    emit_plot_data,
+    estimate_evolution,
+    fit_logistic,
+    ols_simple,
+    parse_fmt_csv,
+    relation_constant,
+    serialize_fmt_csv,
+)
+from techevo._record import Record
 from techevo.errors import (
     DuplicateTimestamp,
     InsufficientOverlap,
@@ -80,9 +97,46 @@ class TestSeriesInvariants:
             make_series([0, 1, 2], [1, -2, 3])
 
     def test_immutable(self):
-        s = make_series([0, 1, 2], [1, 2, 3])
-        with pytest.raises(AttributeError):
-            s.name = "other"
+        def records():
+            params = LogisticParams(4.0, 0.3, 100.0)
+            host = sample_series(params, range(0, 41, 2), "host")
+            sub = make_series([0, 1, 2, 3], [1, 2, 4, 9], "sub")
+            pair = align(host, host.scaled(2.0, "double"))
+            evolution = estimate_evolution(pair)
+            return [
+                host,
+                pair,
+                params,
+                fit_logistic(host),
+                ols_simple([1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 5.0, 8.0]),
+                evolution,
+                relation_constant(params, LogisticParams(3.0, 0.2, 50.0)),
+                classify_pathway(evolution),
+                emit_plot_data(sub, params),
+                SyntheticSpec(params, params, 0.0, 40.0, 21),
+            ]
+
+        firsts, seconds = records(), records()
+        assert {type(r) for r in firsts} == set(Record.__subclasses__())
+        for a, b in zip(firsts, seconds):
+            assert a is not b and a == b and hash(a) == hash(b)
+            assert a._asdict() == b._asdict() and list(a._asdict()) == list(a.__slots__)
+            assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(a) == a
+            for name in (*a.__slots__, "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(a, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(a, name)
+            assert a == b  # the refused assignments changed nothing
+        assert firsts[0] != firsts[0].scaled(1.0, "other")
+
+        # synthetic._noisy_values prints a LogisticParams in its error message.
+        assert repr(firsts[2]) == "LogisticParams(a=4.0, b=0.3, k=100.0)"
+        fit = repr(firsts[3])
+        assert fit.startswith("LogisticFit(params=LogisticParams(a=")
+        assert "sse_linearized=" in fit and "r2_linearized=" in fit
+        assert "k_search_trace" not in fit and "sse_evals" not in fit
+        assert "residuals" not in repr(firsts[4])
 
     def test_scaled(self):
         s = make_series([0, 1, 2], [1, 2, 3])
