@@ -5,10 +5,10 @@ The battery is the host and subsystem series of ``generate_pair`` over
 every combination of n in N_POINTS and noise sigma in SIGMAS, with
 PAIRS_PER_CELL random (a, b, k) pairs per combination drawn from a fixed
 ``random.Random`` seed: 200 series in all.  Each series is fitted with the
-default k search; the digest is SHA-256 over the ``repr`` of every
-outcome, one line each: (a, b, k, sse, r2, k_search_trace) for a fit, the
-exception's type name for a failure.  ``repr`` of a float round-trips
-exactly, so the digest changes if any fitted bit does.
+default bound on k; the digest is SHA-256 over the ``repr`` of every
+outcome, one line each: (a, b, k, sse_log, r2_log, k_at_bound, sse_evals)
+for a fit, the exception's type name for a failure.  ``repr`` of a float
+round-trips exactly, so the digest changes if any fitted bit does.
 
 Usage::
 
@@ -82,7 +82,7 @@ def outcome_line(outcome: LogisticFit | str) -> str:
         return outcome
     p = outcome.params
     return repr(
-        (p.a, p.b, p.k, outcome.sse_linearized, outcome.r2_linearized, outcome.k_search_trace)
+        (p.a, p.b, p.k, outcome.sse_log, outcome.r2_log, outcome.k_at_bound, outcome.sse_evals)
     )
 
 

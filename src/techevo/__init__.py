@@ -36,7 +36,6 @@ from .logistic import (
     LogisticFit,
     LogisticParams,
     fit_logistic,
-    linearize,
     logistic_value,
     solve_time,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "LogisticFit",
     "logistic_value",
     "solve_time",
-    "linearize",
     "fit_logistic",
     # stats
     "OlsCore",

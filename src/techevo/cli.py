@@ -109,8 +109,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     else:
         f = payload["fit"]
         print(f"series: {series.name} (n={len(series)})")
-        for key in ("a", "b", "k", "inflection_time", "sse_linearized", "r2_linearized"):
+        for key in ("a", "b", "k", "inflection_time", "sse_log", "r2_log"):
             print(f"{key:>16}: {f[key]:.12g}")
+        print(f"{'k_at_bound':>16}: {f['k_at_bound']}")
     return EXIT_OK
 
 
@@ -126,10 +127,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     text = report_to_json(report) if args.format == "json" else emit_table(report)
     if args.plot:
         # Plots are written before the report, so that a plot that cannot be
-        # written leaves no report; the report's directory is checked first,
-        # so that a report that cannot be written for want of it leaves no plots.
+        # written leaves no report; the --out path is checked first, so that a
+        # report that cannot be written there leaves no plots.
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise FileNotFoundError(f"no directory for the --out file {args.out!r}")
+        if args.out and os.path.isdir(args.out):
+            raise IsADirectoryError(f"the --out path {args.out!r} is a directory")
         os.makedirs(args.plot, exist_ok=True)
         fits = report["logistic_fits"]
         for label, series in (("host", host), ("sub", sub)):
@@ -177,12 +180,12 @@ def _params_triple(text: str) -> tuple[float, float, float]:
 
 
 def _add_k_search_factor(p: argparse._ActionsContainer) -> None:
-    """The k-search bound, taken by the commands that fit an S-curve."""
+    """The bound on k, taken by the commands that fit an S-curve."""
     p.add_argument(
         "--k-search-factor",
         type=float,
         default=DEFAULT_K_SEARCH_FACTOR,
-        help="saturation search upper bound as a multiple of the observed maximum",
+        help="upper bound on k as a multiple of the observed maximum",
     )
 
 
@@ -224,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="full pipeline with artifacts")
     _add_pair_args(p_report)
-    # --no-logistic fits no S-curve, so a k-search bound beside it is refused.
+    # --no-logistic fits no S-curve, so a bound on k beside it is refused.
     fits = p_report.add_mutually_exclusive_group()
     _add_k_search_factor(fits)
     fits.add_argument(

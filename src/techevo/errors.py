@@ -53,12 +53,8 @@ class LevelOutOfRange(FittingError):
     """Requested level lies outside the open interval (0, K)."""
 
 
-class KTooSmall(FittingError):
-    """A saturation candidate does not exceed every observed value."""
-
-
 class NotSShaped(FittingError):
-    """Best linearized fit has a non-positive growth rate."""
+    """The series does not rise, so no positive growth rate fits it."""
 
 
 class ValueAtSaturation(FittingError):

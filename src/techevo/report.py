@@ -9,9 +9,10 @@ and ``emit_table`` take either.
 ``run_pipeline`` aligns two series, fits each series' S-curve (unless
 ``k_search_factor`` is None), estimates the evolutionary coefficient and
 classifies the pathway at level ``alpha``.  The report serializes to
-JSON with floats at 12 significant digits (stable across platforms) and
-carries a SHA-256 digest over every field except the provenance
-timestamp, so identical inputs are checkable at a glance.
+strict JSON with floats at 12 significant digits (stable across
+platforms), a non-finite statistic written as the string "inf", "-inf"
+or "nan", and carries a SHA-256 digest over every field except the
+provenance timestamp, so identical inputs are checkable at a glance.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .pathway import DEFAULT_ALPHA, classify_pathway
 from .series import FmtSeries, align
 from .stats import _t_ratio, t_two_sided_p
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 TOOL_NAME = "techevo"
 
 #: Significant digits for every float the tool emits.
@@ -51,8 +52,9 @@ def _logistic_fit_dict(fit: LogisticFit) -> dict:
         "a": fit.params.a,
         "b": fit.params.b,
         "k": fit.params.k,
-        "sse_linearized": fit.sse_linearized,
-        "r2_linearized": fit.r2_linearized,
+        "sse_log": fit.sse_log,
+        "r2_log": fit.r2_log,
+        "k_at_bound": fit.k_at_bound,
     }
 
 
@@ -70,7 +72,8 @@ def run_pipeline(
     Returns the report as a dict in the documented JSON layout, with
     unquantized floats and no ``digest``; ``report_to_json`` adds both.
     ``alpha`` is the level of the pathway test and ``k_search_factor``
-    the ceiling of each series' k search, checked by ``fit_logistic``;
+    the upper bound on each series' k over its maximum, checked by
+    ``fit_logistic``;
     None fits no S-curve and leaves ``logistic_fits`` None.  Reads and
     writes no file.  ``host_file`` and ``sub_file`` are the names the
     report records for its inputs; pass file names, not paths, so
@@ -127,7 +130,8 @@ def run_pipeline(
 
 
 def _quantize(obj):
-    """Round every float to FLOAT_DIGITS significant digits, recursively.
+    """Round every float to FLOAT_DIGITS significant digits, recursively,
+    and write a non-finite one as the string "inf", "-inf" or "nan".
 
     Quantization is idempotent: re-serializing a parsed report reproduces
     the same bytes.
@@ -135,7 +139,7 @@ def _quantize(obj):
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
-        return float(format(obj, f".{FLOAT_DIGITS}g"))
+        return float(format(obj, f".{FLOAT_DIGITS}g")) if math.isfinite(obj) else repr(obj)
     if isinstance(obj, dict):
         return {k: _quantize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -160,10 +164,11 @@ def determinism_digest(report: dict) -> str:
 
 
 def report_to_json(report: dict) -> str:
-    """Pretty JSON with quantized floats and an embedded digest."""
+    """Strict (RFC 8259) pretty JSON with quantized floats and an embedded
+    digest."""
     d = _quantize(report)
     d["digest"] = determinism_digest(d)
-    return json.dumps(d, indent=2) + "\n"
+    return json.dumps(d, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +216,7 @@ def emit_table(report: dict) -> str:
         f"{ev['log_a']:.2f}{significance_stars(p_const)} ({ev['se_log_a']:.2f})",
         f"{ev['b']:.2f}{significance_stars(ev['p_b'])} ({ev['se_b']:.2f})",
         f"{ev['r2_adj']:.2f} ({ev['see']:.2f})",
-        f"{_fmt_stat(ev['f_stat'])} ({_fmt_sign(ev['p_f'])})",
+        f"{_fmt_stat(float(ev['f_stat']))} ({_fmt_sign(ev['p_f'])})",
         str(ev["n"]),
     ]
     headers = ["Constant α", "Evolutionary coefficient β=B", "R² adj.", "F", "n"]

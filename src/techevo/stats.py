@@ -3,10 +3,10 @@ Student-t / F tail probabilities via the regularized incomplete beta
 function.
 
 ``_LineFit`` is the package's one least-squares line kernel.  It does the
-x-side work once, so the S-curve's k search (``logistic.fit_logistic``)
-fits a line per saturation candidate on the same times through it, and
-``ols_simple``, the log-log regression behind the evolutionary
-coefficient, builds its inference block on the same sums.
+x-side work once: ``ols_simple``, the log-log regression behind the
+evolutionary coefficient, builds its inference block on its sums, and the
+S-curve fit (``logistic.fit_logistic``) uses it for its closed-form start
+and its centred times.
 
 Everything here is scalar stdlib arithmetic with exactly-rounded sums
 (``math.fsum``) and squares taken as products (``x * x``, one IEEE-754
@@ -75,8 +75,7 @@ class _LineFit:
 
     The x-side work (mean, centred values, sum of squares) is done once, at
     construction; each ``fit`` then costs three exactly-rounded sums over
-    the y values.  The S-curve's k search fits one line per saturation
-    candidate on the same times, and ``ols_simple`` fits one.
+    the y values.
     """
 
     __slots__ = ("x", "n", "xbar", "dx", "sxx")
@@ -102,14 +101,15 @@ class _LineFit:
         sse = fsum((r := yi - (intercept + slope * xi)) * r for xi, yi in zip(self.x, y))
         return sse, slope, intercept, sxy
 
-    def r2(self, y: Sequence[float], sse: float) -> float:
-        """Coefficient of determination of a line through y with SSE ``sse``,
-        clamped to [0, 1]."""
-        ybar = math.fsum(y) / self.n
-        sst = math.fsum((d := yi - ybar) * d for yi in y)
-        if sst > 0.0:
-            return min(1.0, max(0.0, 1.0 - sse / sst))
-        return 1.0 if sse == 0.0 else 0.0
+
+def _r_squared(y: Sequence[float], sse: float) -> float:
+    """Coefficient of determination of a fit to y with SSE ``sse``, clamped
+    to [0, 1]."""
+    ybar = math.fsum(y) / len(y)
+    sst = math.fsum((d := yi - ybar) * d for yi in y)
+    if sst > 0.0:
+        return min(1.0, max(0.0, 1.0 - sse / sst))
+    return 1.0 if sse == 0.0 else 0.0
 
 
 def ols_simple(x: Sequence[float], y: Sequence[float]) -> OlsCore:
@@ -130,7 +130,7 @@ def ols_simple(x: Sequence[float], y: Sequence[float]) -> OlsCore:
     line = _LineFit(x)
     sse, slope, intercept, sxy = line.fit(y)
     residuals = tuple(yi - (intercept + slope * xi) for xi, yi in zip(x, y))
-    r2 = line.r2(y, sse)
+    r2 = _r_squared(y, sse)
     df = n - 2
     r2_adj = 1.0 - (1.0 - r2) * (n - 1) / df
 

@@ -45,7 +45,7 @@ SYNTH_SUB = FIXTURES / "synth_sub.csv"
 
 # Digest of the committed synthetic fixtures under the default report
 # config, frozen after one reviewed run.
-GOLDEN_DIGEST = "sha256:e5841eb98c30912d768b750c75cfe89df897ae8757169717076f9507441a05af"
+GOLDEN_DIGEST = "sha256:173ba36f0e204b8f0c6fa72310b7c1e886fad8dd353888f637ba9c7c0051ac54"
 
 
 def _verdict(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -66,11 +66,12 @@ def test_criterion_1_logistic_recovery():
         rel_err(fit.params.b, truth.b),
         rel_err(fit.params.k, truth.k),
     )
+    # One SSE evaluation at the start and one for each of six Newton steps.
     _verdict(
         1,
-        "noise-free logistic recovery within 1e-6 in < 1 s",
-        worst < 1e-6 and elapsed < 1.0,
-        f"worst rel err {worst:.2e}, {elapsed * 1e3:.0f} ms",
+        "noise-free logistic recovery within 1e-6 in < 1 s, in 7 SSE evaluations",
+        worst < 1e-6 and elapsed < 1.0 and fit.sse_evals == 7,
+        f"worst rel err {worst:.2e}, {elapsed * 1e3:.0f} ms, {fit.sse_evals} evaluations",
     )
 
 
@@ -276,4 +277,27 @@ def test_criterion_9_monte_carlo_coverage():
         "99% CI covers the true B in at least 95 of 100 replications",
         hits >= 95,
         f"{hits}/100 covered",
+    )
+
+
+def test_criterion_10_noisy_logistic_recovery():
+    # The default simulate pair at sigma = 0.05, seeds 1-20, host and sub:
+    # every fitted k within 5% of the true k, none at the ceiling.
+    worst, at_bound = 0.0, 0
+    for seed in range(1, 21):
+        spec = SyntheticSpec(
+            host_params=LogisticParams(4.0, 0.3, 100.0),
+            sub_params=LogisticParams(3.0, 0.2, 50.0),
+            t_start=0.0, t_end=40.0, n_points=21, noise_sigma=0.05, seed=seed,
+        )
+        pair = generate_pair(spec)
+        for series, truth in ((pair.host, spec.host_params), (pair.sub, spec.sub_params)):
+            fit = fit_logistic(series)
+            worst = max(worst, abs(fit.params.k / truth.k - 1.0))
+            at_bound += fit.k_at_bound
+    _verdict(
+        10,
+        "noisy (sigma 0.05) k within 5% on 40 default-pair series, none at the ceiling",
+        worst <= 0.05 and at_bound == 0,
+        f"worst |k/k_true - 1| {worst:.4f}, {at_bound} at the ceiling",
     )

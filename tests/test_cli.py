@@ -82,7 +82,7 @@ class TestHappyPaths:
             ]
         )
         assert code == EXIT_OK
-        assert json.loads(out.read_text())["schema_version"] == 1
+        assert json.loads(out.read_text())["schema_version"] == 2
         names = sorted(p.name for p in plots.iterdir())
         assert names == ["host.csv", "host.svg", "sub.csv", "sub.svg"]
 
@@ -119,6 +119,33 @@ class TestHappyPaths:
         monkeypatch.chdir(tmp_path)
         assert main([*args, "--out", "r.json"]) == EXIT_OK
         assert (tmp_path / "r.json").exists() and (plots / "sub.svg").exists()
+
+    def test_out_path_that_is_a_directory_writes_no_plots(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "plots").mkdir()
+        args = ["report", "--host", SYNTH[0], "--sub", SYNTH[1]]
+        assert main([*args, "--out", "plots", "--plot", "plots"]) == EXIT_INPUT
+        assert list((tmp_path / "plots").iterdir()) == []
+        captured = capsys.readouterr()
+        assert captured.out == "" and "IsADirectoryError" in captured.err
+
+    def test_non_finite_statistics_are_strict_json(self, tmp_path):
+        # A series regressed on itself fits exactly: se_b = 0, so t_b and F
+        # are infinite, and the report writes them as strings.
+        same = write_csv(tmp_path / "h.csv", ["0,1", "1,2", "2,4", "3,5"])
+        out = tmp_path / "r.json"
+        args = ["report", "--no-logistic", "--host", same, "--sub", same, "--out", str(out)]
+        assert main(args) == EXIT_OK
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        report = json.loads(out.read_text(encoding="utf-8"), parse_constant=refuse)
+        ev = report["evolution"]
+        assert (ev["t_b"], ev["f_stat"]) == ("inf", "inf")
+        assert techevo.determinism_digest(report) == report["digest"]
+        assert techevo.report_to_json(report) == out.read_text(encoding="utf-8")
+        assert "inf (<0.001)" in techevo.emit_table(report)
 
     @pytest.mark.parametrize(
         "name, stem",
@@ -225,19 +252,18 @@ class TestExitCodes:
         assert main(["evolve", "--host", huge, "--sub", huge]) == EXIT_OK
 
     def test_log_odds_overflow_is_a_fitting_error(self, tmp_path, capsys):
-        # A maximum near 1.8e307 makes the search ceiling max * 10 overflow;
-        # a subnormal value beside ordinary ones makes its log-odds overflow.
+        # A maximum near 1.8e307 makes the ceiling max * 10 overflow.
         huge = write_csv(tmp_path / "huge.csv", ["0,1e307", "1,2e307", "2,3e307"])
+        assert main(["fit", huge]) == EXIT_FITTING
+        err = capsys.readouterr().err
+        assert err.startswith("FittingError: ") and "overflow" in err
+        assert "NotSShaped" not in err and "nan" not in err
+        assert "maximum 3e+307 is too large for the k-search ceiling" in err
+        # A subnormal value beside ordinary ones has an ordinary log, so the
+        # log-space fit takes it; only log-odds overflowed on it.
         tiny = write_csv(tmp_path / "tiny.csv", ["0,5e-324", "1,1", "2,2"])
-        errs = []
-        for path in (huge, tiny):
-            assert main(["fit", path]) == EXIT_FITTING
-            err = capsys.readouterr().err
-            assert err.startswith("FittingError: ") and "overflow" in err
-            assert "NotSShaped" not in err and "nan" not in err
-            errs.append(err)
-        assert "maximum 3e+307 is too large for the k-search ceiling" in errs[0]
-        assert "log-odds overflow at every saturation candidate" in errs[1]
+        assert main(["fit", tiny]) == EXIT_OK
+        assert abs(json.loads(capsys.readouterr().out)["fit"]["k"] - 2.0) < 1e-9
 
     def test_underflowing_time_spread_is_a_fitting_error(self, tmp_path, capsys):
         # The centred squares of these times underflow to zero, so the line

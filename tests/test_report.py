@@ -41,7 +41,7 @@ def run_files(host_csv, sub_csv, **options):
 
 def stub_report(fit, alpha=0.01):
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "inputs": {
             "host_file": "host.csv",
             "sub_file": "sub.csv",
@@ -165,7 +165,7 @@ class TestSerialization:
         ]
         assert list(d["logistic_fits"]) == ["host", "sub"]
         assert list(d["logistic_fits"]["sub"]) == [
-            "a", "b", "k", "sse_linearized", "r2_linearized",
+            "a", "b", "k", "sse_log", "r2_log", "k_at_bound",
         ]
         assert list(d["evolution"]) == [
             "log_a", "a", "b", "se_log_a", "se_b", "t_b", "p_b", "t_b_vs_1",

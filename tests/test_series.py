@@ -134,8 +134,8 @@ class TestSeriesInvariants:
         assert repr(firsts[2]) == "LogisticParams(a=4.0, b=0.3, k=100.0)"
         fit = repr(firsts[3])
         assert fit.startswith("LogisticFit(params=LogisticParams(a=")
-        assert "sse_linearized=" in fit and "r2_linearized=" in fit
-        assert "k_search_trace" not in fit and "sse_evals" not in fit
+        assert "sse_log=" in fit and "r2_log=" in fit and "k_at_bound=" in fit
+        assert "sse_evals" not in fit
         assert "residuals" not in repr(firsts[4])
 
     def test_scaled(self):
