@@ -221,6 +221,29 @@ class TestFitLogistic:
                 assert rel_err(x, y) < 1e-6
 
 
+@pytest.fixture
+def evaluated_params(monkeypatch):
+    """The (alpha, beta) of every log-space SSE the fit computes, in order."""
+    params = []
+    residuals = logistic._residuals
+
+    def record(ys, taus, c_max, alpha, beta):
+        params.append((alpha, beta))
+        return residuals(ys, taus, c_max, alpha, beta)
+
+    monkeypatch.setattr(logistic, "_residuals", record)
+    return params
+
+
+class TestKSearchEvaluations:
+    def test_sse_evals_on_criterion_1_series(self, evaluated_params):
+        # One SSE at the start, then one per trial step of the descent.
+        s = sample_series(LogisticParams(4, 0.3, 100), [i * 2.0 for i in range(21)])
+        fit = fit_logistic(s)
+        assert fit.sse_evals == len(evaluated_params) == 7
+        assert "sse_evals" not in repr(fit)
+
+
 def default_pair(n, sigma, seed):
     """The default ``simulate`` pair at n points."""
     return generate_pair(
