@@ -41,30 +41,11 @@ class EvolutionFit(Record):
         "r2", "r2_adj", "f_stat", "p_f", "see", "n",
     )
 
-    def __init__(
-        self, log_a: float, a: float, b: float, se_log_a: float, se_b: float,
-        t_b: float, p_b: float, t_b_vs_1: float, p_b_vs_1: float, r2: float,
-        r2_adj: float, f_stat: float, p_f: float, see: float, n: int,
-    ) -> None:
-        if n < 3:
-            raise ValueError(f"n must be >= 3, got {n!r}")
-        if se_b < 0.0 or se_log_a < 0.0:
+    def _check(self) -> None:
+        if self.n < 3:
+            raise ValueError(f"n must be >= 3, got {self.n!r}")
+        if self.se_b < 0.0 or self.se_log_a < 0.0:
             raise ValueError("standard errors cannot be negative")
-        object.__setattr__(self, "log_a", log_a)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "se_log_a", se_log_a)
-        object.__setattr__(self, "se_b", se_b)
-        object.__setattr__(self, "t_b", t_b)
-        object.__setattr__(self, "p_b", p_b)
-        object.__setattr__(self, "t_b_vs_1", t_b_vs_1)
-        object.__setattr__(self, "p_b_vs_1", p_b_vs_1)
-        object.__setattr__(self, "r2", r2)
-        object.__setattr__(self, "r2_adj", r2_adj)
-        object.__setattr__(self, "f_stat", f_stat)
-        object.__setattr__(self, "p_f", p_f)
-        object.__setattr__(self, "see", see)
-        object.__setattr__(self, "n", n)
 
     @property
     def df(self) -> int:
@@ -75,10 +56,6 @@ class RelationConstant(Record):
     """Constant c1 and exponent b1/b2 of the odds-coupling identity."""
 
     __slots__ = ("c1", "exponent")
-
-    def __init__(self, c1: float, exponent: float) -> None:
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "exponent", exponent)
 
 
 def estimate_evolution(pair: AlignedPair) -> EvolutionFit:

@@ -29,16 +29,14 @@ class LogisticParams(Record):
 
     __slots__ = ("a", "b", "k")
 
-    def __init__(self, a: float, b: float, k: float) -> None:
+    def _check(self) -> None:
+        a, b, k = self.a, self.b, self.k
         if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(k)):
             raise ValueError("logistic parameters must be finite")
         if b <= 0.0:
             raise ValueError(f"growth rate b must be positive, got {b!r}")
         if k <= 0.0:
             raise ValueError(f"saturation level k must be positive, got {k!r}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "k", k)
 
     @property
     def inflection_time(self) -> float:
@@ -75,14 +73,6 @@ class LogisticFit(Record):
 
     __slots__ = ("params", "sse_log", "r2_log", "k_at_bound", "sse_evals")
     _hidden = ("sse_evals",)
-
-    def __init__(self, params: LogisticParams, sse_log: float, r2_log: float,
-                 k_at_bound: bool, sse_evals: int) -> None:
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "sse_log", sse_log)
-        object.__setattr__(self, "r2_log", r2_log)
-        object.__setattr__(self, "k_at_bound", k_at_bound)
-        object.__setattr__(self, "sse_evals", sse_evals)
 
 
 def logistic_value(params: LogisticParams, t: float) -> float:

@@ -34,15 +34,6 @@ class PathwayClass(Record):
 
     __slots__ = ("label", "alpha", "b_estimate", "p_b_vs_1", "direction")
 
-    def __init__(
-        self, label: str, alpha: float, b_estimate: float, p_b_vs_1: float, direction: str
-    ) -> None:
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "b_estimate", b_estimate)
-        object.__setattr__(self, "p_b_vs_1", p_b_vs_1)
-        object.__setattr__(self, "direction", direction)
-
 
 def classify_pathway(fit: EvolutionFit, alpha: float = DEFAULT_ALPHA) -> PathwayClass:
     """Classify a fit by the two-sided test of b = 1 at level ``alpha``."""

@@ -259,10 +259,6 @@ class PlotData(Record):
 
     __slots__ = ("csv", "svg")
 
-    def __init__(self, csv: str, svg: str) -> None:
-        object.__setattr__(self, "csv", csv)
-        object.__setattr__(self, "svg", svg)
-
 
 def emit_plot_data(series: FmtSeries, params: LogisticParams | None = None) -> PlotData:
     """Observed points (and fitted curve, if given) as CSV plus minimal SVG.

@@ -60,9 +60,7 @@ class FmtSeries(Record):
             raise TooFewPoints(
                 f"series {name!r} has {len(pts)} points; need >= {MIN_POINTS}"
             )
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "unit", unit)
+        super().__init__(name, pts, unit)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -108,9 +106,7 @@ class AlignedPair(Record):
                 f"{len(rows)} common timestamps between {host.name!r} "
                 f"and {sub.name!r}; need >= {MIN_POINTS}"
             )
-        object.__setattr__(self, "host", host)
-        object.__setattr__(self, "sub", sub)
-        object.__setattr__(self, "rows", rows)
+        super().__init__(host, sub, rows)
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -41,26 +41,6 @@ class OlsCore(Record):
     )
     _hidden = ("residuals",)
 
-    def __init__(
-        self, slope: float, intercept: float, se_slope: float, se_intercept: float,
-        t_slope: float, t_intercept: float, r2: float, r2_adj: float, f_stat: float,
-        see: float, sse: float, n: int, df: int, residuals: tuple[float, ...],
-    ) -> None:
-        object.__setattr__(self, "slope", slope)
-        object.__setattr__(self, "intercept", intercept)
-        object.__setattr__(self, "se_slope", se_slope)
-        object.__setattr__(self, "se_intercept", se_intercept)
-        object.__setattr__(self, "t_slope", t_slope)
-        object.__setattr__(self, "t_intercept", t_intercept)
-        object.__setattr__(self, "r2", r2)
-        object.__setattr__(self, "r2_adj", r2_adj)
-        object.__setattr__(self, "f_stat", f_stat)
-        object.__setattr__(self, "see", see)
-        object.__setattr__(self, "sse", sse)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "df", df)
-        object.__setattr__(self, "residuals", residuals)
-
 
 def _t_ratio(estimate: float, se: float) -> float:
     if se > 0.0:

@@ -146,17 +146,11 @@ class SyntheticSpec(Record):
     __slots__ = (
         "host_params", "sub_params", "t_start", "t_end", "n_points", "noise_sigma", "seed",
     )
+    _defaults = {"noise_sigma": 0.0, "seed": 0}
 
-    def __init__(
-        self,
-        host_params: LogisticParams,
-        sub_params: LogisticParams,
-        t_start: float,
-        t_end: float,
-        n_points: int,
-        noise_sigma: float = 0.0,
-        seed: int = 0,
-    ) -> None:
+    def _check(self) -> None:
+        t_start, t_end = self.t_start, self.t_end
+        n_points, noise_sigma, seed = self.n_points, self.noise_sigma, self.seed
         # Non-finite if either end is, or if the span overflows.
         if not math.isfinite(t_end - t_start):
             raise ValueError(
@@ -175,13 +169,6 @@ class SyntheticSpec(Record):
             )
         if not 0 <= seed <= _MASK64:
             raise ValueError(f"seed {seed!r} outside [0, 2**64)")
-        object.__setattr__(self, "host_params", host_params)
-        object.__setattr__(self, "sub_params", sub_params)
-        object.__setattr__(self, "t_start", t_start)
-        object.__setattr__(self, "t_end", t_end)
-        object.__setattr__(self, "n_points", n_points)
-        object.__setattr__(self, "noise_sigma", noise_sigma)
-        object.__setattr__(self, "seed", seed)
 
 
 def _noisy_values(

@@ -9,6 +9,7 @@ import pytest
 
 import techevo.cli
 from conftest import FIXTURES
+from techevo import fit_logistic, parse_fmt_csv
 from techevo.cli import (
     EXIT_ALIGNMENT,
     EXIT_CONFIG,
@@ -54,6 +55,21 @@ class TestHappyPaths:
         assert main(["fit", SYNTH[0]]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["fit"]["k"] - 100.0) < 1e-3
+
+    def test_fit_table(self, capsys):
+        assert main(["fit", SYNTH[0], "--format", "table"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        text = Path(SYNTH[0]).read_text(encoding="utf-8")
+        fit = fit_logistic(parse_fmt_csv(text, "synth_host"))
+        values = {**fit.params._asdict(), "inflection_time": fit.params.inflection_time}
+        values.update(sse_log=fit.sse_log, r2_log=fit.r2_log)
+        assert lines == [
+            "series: synth_host (n=26)",
+            *(f"{key:>16}: {value:.12g}" for key, value in values.items()),
+            "      k_at_bound: False",
+        ]
+        # .12g rounds the recovered parameters to the generating ones.
+        assert [line.split()[1] for line in lines[1:4]] == ["4", "0.3", "100"]
 
     def test_simulate_then_report(self, tmp_path, capsys):
         host = str(tmp_path / "h.csv")
@@ -345,10 +361,19 @@ class TestExitCodes:
             assert exc.value.code == 2
         capsys.readouterr()
 
-    def test_usage_error_exits_2(self):
+    def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["report"])  # missing required --host/--sub
         assert exc.value.code == 2
+        for option, text, message in (
+            ("--host-params", "1,2", "expected 'a,b,k'"),
+            ("--sub-params", "a,b,c", "expected three numbers"),
+        ):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                main(["simulate", option, text])
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
 
 
 class TestReportDeterminism:

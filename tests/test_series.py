@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import sample_series
 from techevo import (
+    EvolutionFit,
     FmtSeries,
     LogisticParams,
     SyntheticSpec,
@@ -137,6 +138,34 @@ class TestSeriesInvariants:
         assert "sse_log=" in fit and "r2_log=" in fit and "k_at_bound=" in fit
         assert "sse_evals" not in fit
         assert "residuals" not in repr(firsts[4])
+
+    def test_record_checks(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            LogisticParams(math.nan, 0.3, 100.0)
+        pair = align(
+            make_series([0, 1, 2, 3], [1, 2, 4, 9], "h"),
+            make_series([0, 1, 2, 3], [2, 3, 5, 7], "p"),
+        )
+        fields = estimate_evolution(pair)._asdict()
+        assert EvolutionFit(**fields)._asdict() == fields
+        with pytest.raises(ValueError, match="n must be >= 3"):
+            EvolutionFit(**{**fields, "n": 2})
+        with pytest.raises(ValueError, match="standard errors cannot be negative"):
+            EvolutionFit(**{**fields, "se_b": -0.1})
+
+    def test_record_arguments(self):
+        params = LogisticParams(4.0, 0.3, 100.0)
+        assert LogisticParams(4.0, k=100.0, b=0.3) == params
+        with pytest.raises(TypeError, match="takes 3 fields, got 4"):
+            LogisticParams(4.0, 0.3, 100.0, 1.0)
+        with pytest.raises(TypeError, match="no field 'c'"):
+            LogisticParams(4.0, 0.3, 100.0, c=1.0)
+        with pytest.raises(TypeError, match="field 'a' twice"):
+            LogisticParams(4.0, 0.3, 100.0, a=4.0)
+        with pytest.raises(TypeError, match="missing field 'k'"):
+            LogisticParams(4.0, 0.3)
+        spec = SyntheticSpec(params, params, 0.0, 40.0, 21)
+        assert spec.noise_sigma == 0.0 and spec.seed == 0
 
     def test_scaled(self):
         s = make_series([0, 1, 2], [1, 2, 3])
