@@ -65,9 +65,7 @@ from .series import (
     serialize_fmt_csv,
 )
 from .stats import (
-    OlsCore,
     f_sf,
-    ols_simple,
     regularized_incomplete_beta,
     t_cdf,
     t_quantile,
@@ -96,8 +94,6 @@ __all__ = [
     "solve_time",
     "fit_logistic",
     # stats
-    "OlsCore",
-    "ols_simple",
     "t_cdf",
     "t_two_sided_p",
     "t_quantile",

@@ -131,7 +131,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         # report that cannot be written there leaves no plots.
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise FileNotFoundError(f"no directory for the --out file {args.out!r}")
-        if args.out and os.path.isdir(args.out):
+        if args.out and (
+            os.path.isdir(args.out) or os.path.abspath(args.out) == os.path.abspath(args.plot)
+        ):
             raise IsADirectoryError(f"the --out path {args.out!r} is a directory")
         os.makedirs(args.plot, exist_ok=True)
         fits = report["logistic_fits"]

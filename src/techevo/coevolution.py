@@ -23,7 +23,7 @@ from ._record import Record
 from .errors import NonPositiveValue, ValueAtSaturation
 from .logistic import LogisticParams
 from .series import AlignedPair
-from .stats import _t_ratio, f_sf, ols_simple, t_two_sided_p
+from .stats import _LineFit, _r_squared, _t_ratio, f_sf, t_two_sided_p
 
 
 class EvolutionFit(Record):
@@ -61,23 +61,34 @@ class RelationConstant(Record):
 def estimate_evolution(pair: AlignedPair) -> EvolutionFit:
     """Estimate the evolutionary coefficient from an aligned pair.
 
-    Runs OLS of ln(sub) on ln(host); deterministic (exactly-rounded sums),
-    so identical inputs give bit-identical results.  Every value is
-    positive (``FmtSeries`` guarantees it), so each log is defined.
+    Runs OLS of ln(sub) on ln(host) on the ``_LineFit`` kernel and builds
+    the inference block through ``evolution_fit_from_summary``; exactly
+    rounded sums make it bit-deterministic.  ``FmtSeries`` makes every
+    log defined and ``AlignedPair`` guarantees n >= 3.
     """
     x = [math.log(h) for h in pair.host_values]
     y = [math.log(p) for p in pair.sub_values]
-    core = ols_simple(x, y)
+    line = _LineFit(x)
+    sse, b, log_a, sxy = line.fit(y)
+    n = line.n
+    df = n - 2
+    see = math.sqrt(sse / df)
+    # ANOVA F, not t^2, so F = t^2 stays a real check; the regression sum of
+    # squares b * sxy does not cancel catastrophically when r2 is near 1.
+    ssr = b * sxy
+    if sse > 0.0:
+        f_stat = ssr / (sse / df)
+    else:
+        f_stat = math.inf if ssr > 0.0 else 0.0
     return evolution_fit_from_summary(
-        b=core.slope,
-        se_b=core.se_slope,
-        n=core.n,
-        log_a=core.intercept,
-        se_log_a=core.se_intercept,
-        r2=core.r2,
-        r2_adj=core.r2_adj,
-        f_stat=core.f_stat,
-        see=core.see,
+        b=b,
+        se_b=see / math.sqrt(line.sxx),
+        n=n,
+        log_a=log_a,
+        se_log_a=see * math.sqrt(1.0 / n + line.xbar * line.xbar / line.sxx),
+        r2=_r_squared(y, sse),
+        f_stat=f_stat,
+        see=see,
     )
 
 

@@ -69,9 +69,5 @@ class DegenerateX(EstimationError):
     """Regressor has zero variance; the slope is unidentified."""
 
 
-class LengthMismatch(EstimationError):
-    """Paired sequences have different lengths."""
-
-
 class InvalidAlpha(ConfigError):
     """Significance level must lie strictly between 0 and 1."""

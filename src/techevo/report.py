@@ -142,8 +142,6 @@ def _quantize(obj):
         return float(format(obj, f".{FLOAT_DIGITS}g")) if math.isfinite(obj) else repr(obj)
     if isinstance(obj, dict):
         return {k: _quantize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_quantize(v) for v in obj]
     return obj
 
 

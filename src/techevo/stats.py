@@ -1,12 +1,11 @@
-"""Straight-line least squares with the full inference block, and
-Student-t / F tail probabilities via the regularized incomplete beta
-function.
+"""Numeric kernels: straight-line least squares, and Student-t / F tail
+probabilities via the regularized incomplete beta function.
 
 ``_LineFit`` is the package's one least-squares line kernel.  It does the
-x-side work once: ``ols_simple``, the log-log regression behind the
-evolutionary coefficient, builds its inference block on its sums, and the
-S-curve fit (``logistic.fit_logistic``) uses it for its closed-form start
-and its centred times.
+x-side work once: ``coevolution.estimate_evolution``, the log-log
+regression behind the evolutionary coefficient, builds its inference
+block on its sums, and the S-curve fit (``logistic.fit_logistic``) uses it
+for its closed-form start and its centred times.
 
 Everything here is scalar stdlib arithmetic with exactly-rounded sums
 (``math.fsum``) and squares taken as products (``x * x``, one IEEE-754
@@ -22,24 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from ._record import Record
-from .errors import DegenerateX, LengthMismatch, TooFewPoints
-
-
-class OlsCore(Record):
-    """Simple-regression result: coefficients, SEs, t's, fit statistics.
-
-    ``f_stat`` comes from the ANOVA decomposition (regression sum of
-    squares over residual mean square), not from squaring the t statistic,
-    so the single-regressor identity F = t^2 is a genuine numerical check.
-    The repr leaves out the residuals.
-    """
-
-    __slots__ = (
-        "slope", "intercept", "se_slope", "se_intercept", "t_slope", "t_intercept",
-        "r2", "r2_adj", "f_stat", "see", "sse", "n", "df", "residuals",
-    )
-    _hidden = ("residuals",)
+from .errors import DegenerateX
 
 
 def _t_ratio(estimate: float, se: float) -> float:
@@ -90,58 +72,6 @@ def _r_squared(y: Sequence[float], sse: float) -> float:
     if sst > 0.0:
         return min(1.0, max(0.0, 1.0 - sse / sst))
     return 1.0 if sse == 0.0 else 0.0
-
-
-def ols_simple(x: Sequence[float], y: Sequence[float]) -> OlsCore:
-    """Ordinary least squares of y on x with an intercept.
-
-    Requires n >= 3 and non-constant x.  Residuals sum to zero and are
-    orthogonal to x up to rounding; see^2 * (n - 2) equals the residual
-    sum of squares by construction.
-    """
-    if len(x) != len(y):
-        raise LengthMismatch(f"len(x)={len(x)} != len(y)={len(y)}")
-    n = len(x)
-    if n < 3:
-        raise TooFewPoints(f"need >= 3 observations, got {n}")
-
-    x = [float(v) for v in x]
-    y = [float(v) for v in y]
-    line = _LineFit(x)
-    sse, slope, intercept, sxy = line.fit(y)
-    residuals = tuple(yi - (intercept + slope * xi) for xi, yi in zip(x, y))
-    r2 = _r_squared(y, sse)
-    df = n - 2
-    r2_adj = 1.0 - (1.0 - r2) * (n - 1) / df
-
-    see = math.sqrt(sse / df)
-    se_slope = see / math.sqrt(line.sxx)
-    se_intercept = see * math.sqrt(1.0 / n + line.xbar * line.xbar / line.sxx)
-
-    # Regression sum of squares as slope * sxy (exact algebraic identity,
-    # no catastrophic cancellation when r2 is close to 1).
-    ssr = slope * sxy
-    if sse > 0.0:
-        f_stat = ssr / (sse / df)
-    else:
-        f_stat = math.inf if ssr > 0.0 else 0.0
-
-    return OlsCore(
-        slope=slope,
-        intercept=intercept,
-        se_slope=se_slope,
-        se_intercept=se_intercept,
-        t_slope=_t_ratio(slope, se_slope),
-        t_intercept=_t_ratio(intercept, se_intercept),
-        r2=r2,
-        r2_adj=r2_adj,
-        f_stat=f_stat,
-        see=see,
-        sse=sse,
-        n=n,
-        df=df,
-        residuals=residuals,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from techevo import FmtSeries, LogisticParams, logistic_value
+from techevo import FmtSeries, LogisticParams, align, logistic_value
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -28,6 +28,26 @@ def sample_series(
     params: LogisticParams, ts, name: str = "series", unit: str = ""
 ) -> FmtSeries:
     return FmtSeries(name, tuple((t, logistic_value(params, t)) for t in ts), unit)
+
+
+def log_pair(x, y):
+    """Aligned pair at t = 0, 1, ... with host exp(x) and sub exp(y), so that
+    ``estimate_evolution`` regresses (about) y on x.
+
+    ln(exp(v)) can differ from v by an ulp, so an oracle compared with the
+    estimate should be given the pair's own logs, ``pair_logs(pair)``.
+    """
+    host = FmtSeries("host", tuple((float(i), math.exp(v)) for i, v in enumerate(x)))
+    sub = FmtSeries("sub", tuple((float(i), math.exp(v)) for i, v in enumerate(y)))
+    return align(host, sub)
+
+
+def pair_logs(pair):
+    """The (x, y) that ``estimate_evolution`` regresses: ln host, ln sub."""
+    return (
+        [math.log(v) for v in pair.host_values],
+        [math.log(v) for v in pair.sub_values],
+    )
 
 
 def ols_normal_equations(x, y) -> dict:

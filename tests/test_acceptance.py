@@ -14,8 +14,9 @@ import math
 import re
 import time
 
-from conftest import FIXTURES, ols_normal_equations, rel_err, sample_series
+from conftest import FIXTURES, log_pair, ols_normal_equations, pair_logs, rel_err, sample_series
 from techevo import (
+    FmtSeries,
     LogisticParams,
     SplitMix64,
     SyntheticSpec,
@@ -26,16 +27,13 @@ from techevo import (
     emit_table,
     estimate_evolution,
     evolution_fit_from_summary,
-    f_sf,
     fit_logistic,
     generate_pair,
     logistic_value,
-    ols_simple,
     parse_fmt_csv,
     relation_constant,
     solve_time,
     t_quantile,
-    t_two_sided_p,
 )
 from techevo.cli import EXIT_OK, main
 from test_report import stub_report
@@ -92,14 +90,15 @@ def _seeded_datasets(count: int):
 def test_criterion_2_ols_oracle_equivalence():
     worst = 0.0
     for x, y in _seeded_datasets(1000):
-        mine = ols_simple(x, y)
-        ref = ols_normal_equations(x, y)
+        pair = log_pair(x, y)
+        mine = estimate_evolution(pair)
+        ref = ols_normal_equations(*pair_logs(pair))
         worst = max(
             worst,
-            rel_err(mine.slope, ref["slope"]),
-            rel_err(mine.intercept, ref["intercept"]),
-            rel_err(mine.se_slope, ref["se_slope"]),
-            rel_err(mine.se_intercept, ref["se_intercept"]),
+            rel_err(mine.b, ref["slope"]),
+            rel_err(mine.log_a, ref["intercept"]),
+            rel_err(mine.se_b, ref["se_slope"]),
+            rel_err(mine.se_log_a, ref["se_intercept"]),
         )
     _verdict(
         2,
@@ -113,11 +112,9 @@ def test_criterion_3_single_regressor_identity():
     worst_f = 0.0
     worst_p = 0.0
     for x, y in _seeded_datasets(1000):
-        c = ols_simple(x, y)
-        worst_f = max(worst_f, rel_err(c.f_stat, c.t_slope**2))
-        p_f = f_sf(c.f_stat, 1, c.df)
-        p_b = t_two_sided_p(c.t_slope, c.df)
-        worst_p = max(worst_p, abs(p_f - p_b))
+        c = estimate_evolution(log_pair(x, y))
+        worst_f = max(worst_f, rel_err(c.f_stat, c.t_b**2))
+        worst_p = max(worst_p, abs(c.p_f - c.p_b))
     _verdict(
         3,
         "F = t^2 to 1e-8 and p_F = p_B to 1e-9 on all oracle datasets",
@@ -266,11 +263,11 @@ def test_criterion_9_monte_carlo_coverage():
         sub_vals = [
             true_a * h**true_b * math.exp(sigma * rng.normal()) for h in host_vals
         ]
-        x = [math.log(h) for h in host_vals]
-        y = [math.log(p) for p in sub_vals]
-        c = ols_simple(x, y)
-        half = t_quantile(0.995, c.df) * c.se_slope
-        if c.slope - half <= true_b <= c.slope + half:
+        pair = align(FmtSeries("host", tuple(zip(ts, host_vals))),
+                     FmtSeries("sub", tuple(zip(ts, sub_vals))))
+        c = estimate_evolution(pair)
+        half = t_quantile(0.995, c.df) * c.se_b
+        if c.b - half <= true_b <= c.b + half:
             hits += 1
     _verdict(
         9,

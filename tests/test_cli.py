@@ -138,12 +138,15 @@ class TestHappyPaths:
 
     def test_out_path_that_is_a_directory_writes_no_plots(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "plots").mkdir()
         args = ["report", "--host", SYNTH[0], "--sub", SYNTH[1]]
+        # The --plot directory is the --out path even before it is made.
+        assert main([*args, "--out", str(tmp_path / "plots"), "--plot", "plots/"]) == EXIT_INPUT
+        assert not (tmp_path / "plots").exists()
+        (tmp_path / "plots").mkdir()
         assert main([*args, "--out", "plots", "--plot", "plots"]) == EXIT_INPUT
         assert list((tmp_path / "plots").iterdir()) == []
         captured = capsys.readouterr()
-        assert captured.out == "" and "IsADirectoryError" in captured.err
+        assert captured.out == "" and captured.err.count("IsADirectoryError") == 2
 
     def test_non_finite_statistics_are_strict_json(self, tmp_path):
         # A series regressed on itself fits exactly: se_b = 0, so t_b and F

@@ -17,7 +17,6 @@ from techevo import (
     emit_plot_data,
     estimate_evolution,
     fit_logistic,
-    ols_simple,
     parse_fmt_csv,
     relation_constant,
     serialize_fmt_csv,
@@ -55,6 +54,19 @@ class TestParse:
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             parse_fmt_csv("t,value\n0,1\n1,2", "s")
+
+    @pytest.mark.parametrize("text", ["", "\n \n"])
+    def test_empty_input(self, text):
+        with pytest.raises(MalformedRow, match="line 1: empty input"):
+            parse_fmt_csv(text, "s")
+
+    def test_blank_lines_are_skipped(self):
+        s = parse_fmt_csv("t,value\n1,2\n\n2,3\n3,4\n\n\n", "s")
+        assert s.points == ((1.0, 2.0), (2.0, 3.0), (3.0, 4.0))
+
+    def test_line_numbers_count_blank_lines(self):
+        with pytest.raises(MalformedRow, match="line 5: "):
+            parse_fmt_csv("t,value\n1,2\n\n2,3\nx\n", "s")
 
     def test_bad_header(self):
         with pytest.raises(MalformedRow, match="line 1"):
@@ -109,7 +121,6 @@ class TestSeriesInvariants:
                 pair,
                 params,
                 fit_logistic(host),
-                ols_simple([1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 5.0, 8.0]),
                 evolution,
                 relation_constant(params, LogisticParams(3.0, 0.2, 50.0)),
                 classify_pathway(evolution),

@@ -7,49 +7,45 @@ from hypothesis import strategies as st
 from scipy import special as sp_special
 from scipy import stats as sp_stats
 
-from conftest import ols_normal_equations, rel_err
+from conftest import log_pair, ols_normal_equations, pair_logs, rel_err
 from techevo import (
     SplitMix64,
+    estimate_evolution,
     f_sf,
-    ols_simple,
     regularized_incomplete_beta,
     t_cdf,
     t_quantile,
     t_two_sided_p,
 )
-from techevo.errors import DegenerateX, LengthMismatch, TooFewPoints
+from techevo.errors import DegenerateX
 from techevo.stats import _LineFit
 
 
 class TestOlsSimple:
+    """Simple (one-regressor) OLS: the ``_LineFit`` kernel, and the inference
+    block ``estimate_evolution`` builds on it for ln sub on ln host."""
+
     def test_collinear(self):
-        c = ols_simple([0, 1, 2], [0, 1, 2])
-        assert c.slope == pytest.approx(1.0, abs=1e-14)
-        assert c.intercept == pytest.approx(0.0, abs=1e-14)
-        assert c.r2 == 1.0
-
-    def test_too_few_points(self):
-        with pytest.raises(TooFewPoints):
-            ols_simple([0, 1], [1, 3])
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            ols_simple([0, 1, 2], [1, 2])
+        fit = estimate_evolution(log_pair([0, 1, 2], [0, 1, 2]))
+        assert fit.b == pytest.approx(1.0, abs=1e-14)
+        assert fit.log_a == pytest.approx(0.0, abs=1e-14)
+        assert fit.r2 == 1.0
 
     def test_degenerate_x(self):
         with pytest.raises(DegenerateX):
-            ols_simple([2, 2, 2, 2], [1, 2, 3, 4])
+            _LineFit([2.0, 2.0, 2.0, 2.0])
 
     def test_matches_normal_equations_n12(self):
         rng = SplitMix64(12)
         x = [i + rng.uniform() for i in range(12)]
         y = [1.3 + 0.7 * xi + 0.4 * (rng.uniform() - 0.5) for xi in x]
-        mine = ols_simple(x, y)
-        ref = ols_normal_equations(x, y)
-        assert rel_err(mine.slope, ref["slope"]) < 1e-10
-        assert rel_err(mine.intercept, ref["intercept"]) < 1e-10
-        assert rel_err(mine.se_slope, ref["se_slope"]) < 1e-10
-        assert rel_err(mine.se_intercept, ref["se_intercept"]) < 1e-10
+        pair = log_pair(x, y)
+        mine = estimate_evolution(pair)
+        ref = ols_normal_equations(*pair_logs(pair))
+        assert rel_err(mine.b, ref["slope"]) < 1e-10
+        assert rel_err(mine.log_a, ref["intercept"]) < 1e-10
+        assert rel_err(mine.se_b, ref["se_slope"]) < 1e-10
+        assert rel_err(mine.se_log_a, ref["se_intercept"]) < 1e-10
         assert rel_err(mine.see, ref["see"]) < 1e-10
 
     @settings(deadline=None, max_examples=60)
@@ -62,13 +58,16 @@ class TestOlsSimple:
         )
     )
     def test_residual_diagnostics(self, points):
+        # Residuals of the kernel's line sum to zero and are orthogonal to x
+        # up to rounding.
         x = [p[0] for p in points]
         y = [p[1] for p in points]
         assume(max(x) - min(x) > 1e-3)
-        c = ols_simple(x, y)
+        _, slope, intercept, _ = _LineFit(x).fit(y)
+        residuals = [yi - (intercept + slope * xi) for xi, yi in zip(x, y)]
         scale = len(x) * max(1.0, max(abs(v) for v in y), max(abs(v) for v in x))
-        assert abs(math.fsum(c.residuals)) < 1e-9 * scale
-        assert abs(math.fsum(e * xi for e, xi in zip(c.residuals, x))) < 1e-9 * scale * max(
+        assert abs(math.fsum(residuals)) < 1e-9 * scale
+        assert abs(math.fsum(e * xi for e, xi in zip(residuals, x))) < 1e-9 * scale * max(
             1.0, max(abs(v) for v in x)
         )
 
@@ -76,10 +75,13 @@ class TestOlsSimple:
         rng = SplitMix64(77)
         x = [i * 0.5 + rng.uniform() for i in range(20)]
         y = [2.0 - 0.3 * xi + 0.2 * (rng.uniform() - 0.5) for xi in x]
-        c = ols_simple(x, y)
+        pair = log_pair(x, y)
+        c = estimate_evolution(pair)
+        lx, ly = pair_logs(pair)
+        sse = _LineFit(lx).fit(ly)[0]
         n = c.n
         assert c.r2_adj == pytest.approx(1 - (1 - c.r2) * (n - 1) / (n - 2), rel=1e-12)
-        assert rel_err(c.see**2 * (n - 2), c.sse) < 1e-10
+        assert rel_err(c.see**2 * (n - 2), sse) < 1e-10
         assert c.r2_adj <= c.r2 <= 1.0
 
     def test_f_equals_t_squared(self):
@@ -88,9 +90,8 @@ class TestOlsSimple:
             n = 3 + rng.next_u64() % 48
             x = [i + rng.uniform() for i in range(n)]
             y = [0.4 + 1.1 * xi + 0.3 * (rng.uniform() - 0.5) for xi in x]
-            c = ols_simple(x, y)
-            assert rel_err(c.f_stat, c.t_slope**2) < 1e-8
-
+            c = estimate_evolution(log_pair(x, y))
+            assert rel_err(c.f_stat, c.t_b**2) < 1e-8
 
     def test_line_fit_squares_by_multiplication(self):
         # x ** 2 goes through the C library's pow, which need not be
@@ -197,9 +198,8 @@ class TestIncompleteBeta:
 def test_ols_deterministic():
     x = [0.1 * i for i in range(17)]
     y = [math.sin(i) + 2 + 0.5 * xi for i, xi in enumerate(x)]
-    a = ols_simple(x, y)
-    b = ols_simple(x, y)
-    assert a == b
+    pair = log_pair(x, y)
+    assert estimate_evolution(pair) == estimate_evolution(pair)
 
 
 def test_normal_equation_oracle_self_check():
