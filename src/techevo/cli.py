@@ -9,14 +9,10 @@ report    full pipeline with JSON/table output and optional plot artifacts
 
 Exit codes
 ----------
-0   success
-2   usage error (argparse)
-10  input/parse error (bad CSV, missing file)
-11  alignment error (too few shared timestamps)
-12  fitting error (not S-shaped, saturation violations, arithmetic overflow)
-13  estimation error (degenerate regressor)
-14  configuration error (bad alpha, k-search factor or simulate option)
-1   unexpected internal error
+0 on success and 2 on a usage error (argparse).  Every other failure exits
+with the ``exit_code`` of its category in ``errors.py`` (10-14, or 1 for
+the bare base class); a file that cannot be read or written, or is not
+UTF-8, exits 10.
 """
 
 from __future__ import annotations
@@ -27,14 +23,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import (
-    AlignmentError,
-    ConfigError,
-    EstimationError,
-    FittingError,
-    InputError,
-    TechEvoError,
-)
+from .errors import ConfigError, InputError, TechEvoError
 from .logistic import DEFAULT_K_SEARCH_FACTOR, LogisticParams, fit_logistic
 from .pathway import DEFAULT_ALPHA
 from .report import (
@@ -49,20 +38,6 @@ from .series import FmtSeries, parse_fmt_csv, serialize_fmt_csv
 from .synthetic import SyntheticSpec, generate_pair
 
 EXIT_OK = 0
-EXIT_UNEXPECTED = 1
-EXIT_INPUT = 10
-EXIT_ALIGNMENT = 11
-EXIT_FITTING = 12
-EXIT_ESTIMATION = 13
-EXIT_CONFIG = 14
-
-_ERROR_EXIT_CODES = (
-    (InputError, EXIT_INPUT),
-    (AlignmentError, EXIT_ALIGNMENT),
-    (FittingError, EXIT_FITTING),
-    (EstimationError, EXIT_ESTIMATION),
-    (ConfigError, EXIT_CONFIG),
-)
 
 
 def _fail(exc: BaseException, code: int) -> int:
@@ -154,16 +129,21 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    spec = SyntheticSpec(
-        host_params=LogisticParams(*args.host_params),
-        sub_params=LogisticParams(*args.sub_params),
-        t_start=args.t_start,
-        t_end=args.t_end,
-        n_points=args.n_points,
-        noise_sigma=args.noise_sigma,
-        seed=args.seed,
-    )
-    pair = generate_pair(spec)
+    # Every input of simulate is an option, so a spec it refuses is a
+    # configuration error.
+    try:
+        spec = SyntheticSpec(
+            host_params=LogisticParams(*args.host_params),
+            sub_params=LogisticParams(*args.sub_params),
+            t_start=args.t_start,
+            t_end=args.t_end,
+            n_points=args.n_points,
+            noise_sigma=args.noise_sigma,
+            seed=args.seed,
+        )
+        pair = generate_pair(spec)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     _write_text(args.out_host, serialize_fmt_csv(pair.host))
     _write_text(args.out_sub, serialize_fmt_csv(pair.sub))
     print(f"wrote {args.out_host} and {args.out_sub} (n={len(pair)}, seed={spec.seed})")
@@ -264,14 +244,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except TechEvoError as exc:
-        for err_type, code in _ERROR_EXIT_CODES:
-            if isinstance(exc, err_type):
-                return _fail(exc, code)
-        return _fail(exc, EXIT_UNEXPECTED)
-    except OSError as exc:
-        return _fail(exc, EXIT_INPUT)
-    except ValueError as exc:
-        return _fail(exc, EXIT_CONFIG)
+        return _fail(exc, exc.exit_code)
+    except (OSError, UnicodeDecodeError) as exc:
+        return _fail(exc, InputError.exit_code)
 
 
 if __name__ == "__main__":

@@ -122,9 +122,13 @@ def evolution_fit_from_summary(
     t_b_vs_1 = _t_ratio(b - 1.0, se_b)
     if f_stat is None:
         f_stat = t_b * t_b
+    try:
+        a = math.exp(log_a)
+    except OverflowError:  # log_a past about 709.78 still holds the number
+        a = math.inf
     return EvolutionFit(
         log_a=log_a,
-        a=math.exp(log_a),
+        a=a,
         b=b,
         se_log_a=se_log_a,
         se_b=se_b,

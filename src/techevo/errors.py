@@ -1,32 +1,44 @@
 """Exception hierarchy.
 
-Leaf names match the error conditions documented on each operation; the
-intermediate categories are what the CLI maps onto distinct exit codes.
+Leaf names match the error conditions documented on each operation.  Each
+category declares the CLI's exit code for it as ``exit_code``.
 """
 
 
 class TechEvoError(Exception):
     """Base class for every error this package raises deliberately."""
 
+    exit_code = 1
+
 
 class InputError(TechEvoError):
     """Bad input data: CSV parsing or series validation."""
+
+    exit_code = 10
 
 
 class AlignmentError(TechEvoError):
     """Two series cannot be paired on common timestamps."""
 
+    exit_code = 11
+
 
 class FittingError(TechEvoError):
     """S-curve fitting or curve evaluation failed."""
+
+    exit_code = 12
 
 
 class EstimationError(TechEvoError):
     """The log-log regression cannot be carried out."""
 
+    exit_code = 13
+
 
 class ConfigError(TechEvoError):
     """Invalid analysis configuration."""
+
+    exit_code = 14
 
 
 class MalformedRow(InputError):

@@ -1,26 +1,35 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import techevo.cli
 from conftest import FIXTURES
 from techevo import fit_logistic, parse_fmt_csv
-from techevo.cli import (
-    EXIT_ALIGNMENT,
-    EXIT_CONFIG,
-    EXIT_ESTIMATION,
-    EXIT_FITTING,
-    EXIT_INPUT,
-    EXIT_OK,
-    build_parser,
-    main,
+from techevo.cli import EXIT_OK, build_parser, main
+from techevo.errors import (
+    AlignmentError,
+    ConfigError,
+    EstimationError,
+    FittingError,
+    InputError,
+    TechEvoError,
 )
 from techevo.synthetic import _MAX_POINTS
+
+EXIT_INPUT = InputError.exit_code
+EXIT_ALIGNMENT = AlignmentError.exit_code
+EXIT_FITTING = FittingError.exit_code
+EXIT_ESTIMATION = EstimationError.exit_code
+EXIT_CONFIG = ConfigError.exit_code
 
 SYNTH = [str(FIXTURES / "synth_host.csv"), str(FIXTURES / "synth_sub.csv")]
 POWER = [str(FIXTURES / "power_host.csv"), str(FIXTURES / "power_sub.csv")]
@@ -29,6 +38,17 @@ POWER = [str(FIXTURES / "power_host.csv"), str(FIXTURES / "power_sub.csv")]
 def write_csv(path, rows):
     path.write_text("t,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
     return str(path)
+
+
+def refuse_constant(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
+# Near-equal host values regressed on a falling sub give log_a near 1.7e15,
+# whose exp overflows.
+OVERFLOW_HOST = ["0,2", "1,2.0000000000000004", "2,2.000000000000001"]
+OVERFLOW_SUB = ["0,3", "1,2", "2,1"]
+NOT_UTF8 = b"t,value\n0,1\n1,\xff\n2,3\n"
 
 
 class TestHappyPaths:
@@ -166,6 +186,18 @@ class TestHappyPaths:
         assert techevo.report_to_json(report) == out.read_text(encoding="utf-8")
         assert "inf (<0.001)" in techevo.emit_table(report)
 
+    @pytest.mark.parametrize("argv", [["evolve"], ["report", "--no-logistic"]])
+    def test_overflowing_constant_a_is_strict_json(self, tmp_path, argv):
+        host = write_csv(tmp_path / "h.csv", OVERFLOW_HOST)
+        sub = write_csv(tmp_path / "s.csv", OVERFLOW_SUB)
+        out = tmp_path / "r.json"
+        assert main([*argv, "--host", host, "--sub", sub, "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text(encoding="utf-8"), parse_constant=refuse_constant)
+        ev = report["evolution"]
+        assert ev["a"] == "inf" and math.isfinite(ev["log_a"]) and ev["log_a"] > 709.8
+        assert techevo.determinism_digest(report) == report["digest"]
+        assert "Pathway:" in techevo.emit_table(report)
+
     @pytest.mark.parametrize(
         "name, stem",
         [("x.tar.csv", "x.tar"), (".h.csv", ".h"), (".h", ".h"), ("x.", "x."), ("x", "x")],
@@ -242,6 +274,26 @@ class TestExitCodes:
         code = main(["report", "--host", bad, "--sub", SYNTH[1]])
         assert code == EXIT_INPUT
         assert "MalformedRow" in capsys.readouterr().err
+
+    def test_input_that_is_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(NOT_UTF8)
+        for args in (["fit", str(bad)], ["evolve", "--host", str(bad), "--sub", SYNTH[1]]):
+            assert main(args) == EXIT_INPUT
+            assert capsys.readouterr().err.startswith("UnicodeDecodeError: ")
+
+    def test_each_category_declares_the_readme_exit_code(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        table = dict(re.findall(r"^\| (\d+) +\| (\w+)", readme.read_text(encoding="utf-8"), re.M))
+        for category, code, meaning in (
+            (InputError, 10, "input"),
+            (AlignmentError, 11, "alignment"),
+            (FittingError, 12, "fitting"),
+            (EstimationError, 13, "estimation"),
+            (ConfigError, 14, "configuration"),
+        ):
+            assert category.exit_code == code and table[str(code)] == meaning
+        assert TechEvoError.exit_code == 1
 
     def test_missing_file(self, tmp_path, capsys):
         missing = str(tmp_path / "ghost.csv")
@@ -342,6 +394,12 @@ class TestExitCodes:
             ["--t-end", "1.7976931348623157e308", "--n-points", "7"],
             # The span is a few ulps, so grid times round to equal floats.
             ["--t-start", "1e300", "--t-end", "1.0000000000000002e300"],
+            ["--host-params", "4,0,100"],
+            ["--sub-params", "3,-0.2,50"],
+            ["--host-params", "4,0.3,0"],
+            ["--sub-params", "3,0.2,-50"],
+            ["--host-params", "nan,0.3,100"],
+            ["--sub-params", "3,0.2,nan"],
         ],
     )
     def test_simulate_value_outside_the_floats_is_a_config_error(
@@ -351,7 +409,7 @@ class TestExitCodes:
         args = ["simulate", "--out-host", str(host), "--out-sub", str(sub), *options]
         assert main(args) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("ValueError: ") and err.count("\n") == 1
+        assert err.startswith("ConfigError: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not host.exists() and not sub.exists()
 
@@ -377,6 +435,38 @@ class TestExitCodes:
                 main(["simulate", option, text])
             assert exc.value.code == 2
             assert message in capsys.readouterr().err
+
+
+_EXTREME = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-165, 2.0000000000000004,
+    1e300, 1e307, 1.7976931348623157e308, -1e300, math.inf, math.nan,
+]
+_NUMBER = st.one_of(st.integers(-3, 12).map(float), st.sampled_from(_EXTREME), st.floats())
+_ROW = st.one_of(
+    st.tuples(_NUMBER, _NUMBER).map(lambda tv: f"{tv[0]!r},{tv[1]!r}".encode()),
+    st.sampled_from([b"", b"oops", b"1,2,3", b"1;2", b",", b"1,\xc3", b"\xff,1", b"\xef\xbb\xbf"]),
+)
+_CSV = st.lists(_ROW, max_size=12).map(lambda rows: b"\n".join([b"t,value", *rows]) + b"\n")
+
+
+def _csv_bytes(rows):
+    return "\n".join(["t,value", *rows, ""]).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(["evolve", "report"]), host=_CSV, sub=_CSV)
+@example(command="evolve", host=_csv_bytes(OVERFLOW_HOST), sub=_csv_bytes(OVERFLOW_SUB))
+@example(command="report", host=NOT_UTF8, sub=NOT_UTF8)
+def test_any_csv_pair_gives_strict_json_or_an_exit_code(command, host, sub):
+    with tempfile.TemporaryDirectory() as d:
+        host_path, sub_path, out = (Path(d) / name for name in ("h.csv", "s.csv", "r.json"))
+        host_path.write_bytes(host)
+        sub_path.write_bytes(sub)
+        code = main([command, "--host", str(host_path), "--sub", str(sub_path), "--out", str(out)])
+        assert code in {EXIT_OK, 10, 11, 12, 13, 14}
+        if code == EXIT_OK:
+            report = json.loads(out.read_text(encoding="utf-8"), parse_constant=refuse_constant)
+            assert techevo.determinism_digest(report) == report["digest"]
 
 
 class TestReportDeterminism:
