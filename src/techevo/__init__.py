@@ -28,8 +28,6 @@ from .coevolution import (
     RelationConstant,
     check_relation,
     estimate_evolution,
-    evolution_fit_from_summary,
-    predict_subsystem,
     relation_constant,
 )
 from .logistic import (
@@ -103,8 +101,6 @@ __all__ = [
     "EvolutionFit",
     "RelationConstant",
     "estimate_evolution",
-    "evolution_fit_from_summary",
-    "predict_subsystem",
     "relation_constant",
     "check_relation",
     # pathway

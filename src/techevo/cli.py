@@ -130,7 +130,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     # Every input of simulate is an option, so a spec it refuses is a
-    # configuration error.
+    # configuration error; so is one file for both series.
+    if os.path.abspath(args.out_host) == os.path.abspath(args.out_sub):
+        raise ConfigError(f"--out-host and --out-sub name the same file {args.out_host!r}")
     try:
         spec = SyntheticSpec(
             host_params=LogisticParams(*args.host_params),

@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 
 from ._record import Record
-from .errors import NonPositiveValue, ValueAtSaturation
+from .errors import ValueAtSaturation
 from .logistic import LogisticParams
-from .series import AlignedPair
+from .series import MIN_POINTS, AlignedPair
 from .stats import _LineFit, _r_squared, _t_ratio, f_sf, t_two_sided_p
 
 
@@ -34,6 +34,13 @@ class EvolutionFit(Record):
     b = 0 (is there a relation at all) and b = 1 (does the subsystem keep
     pace with its host), each two-sided with n - 2 degrees of freedom.
     The fields' order is the key order of the report's ``evolution`` block.
+
+    The constructor takes regression summary numbers, a published table's
+    or the OLS that ``estimate_evolution`` runs, and derives the rest: both
+    t ratios and their p values, whichever of r2 and r2_adj is missing, F
+    (t^2 when not given) with its p value, and a.  Published tables are
+    rounded, so no cross-field identity (such as F = t^2) is enforced;
+    those identities hold for estimator output.
     """
 
     __slots__ = (
@@ -41,11 +48,41 @@ class EvolutionFit(Record):
         "r2", "r2_adj", "f_stat", "p_f", "see", "n",
     )
 
-    def _check(self) -> None:
-        if self.n < 3:
-            raise ValueError(f"n must be >= 3, got {self.n!r}")
-        if self.se_b < 0.0 or self.se_log_a < 0.0:
+    def __init__(
+        self,
+        b: float,
+        se_b: float,
+        n: int,
+        log_a: float = 0.0,
+        se_log_a: float = 0.0,
+        r2_adj: float | None = None,
+        r2: float | None = None,
+        f_stat: float | None = None,
+        see: float = 0.0,
+    ) -> None:
+        if n < MIN_POINTS:
+            raise ValueError(f"n must be >= {MIN_POINTS}, got {n!r}")
+        if se_b < 0.0 or se_log_a < 0.0:
             raise ValueError("standard errors cannot be negative")
+        if r2 is None and r2_adj is not None:
+            r2 = 1.0 - (1.0 - r2_adj) * (n - 2) / (n - 1)
+        if r2 is None:
+            r2 = 0.0
+        if r2_adj is None:
+            r2_adj = 1.0 - (1.0 - r2) * (n - 1) / (n - 2)
+        t_b = _t_ratio(b, se_b)
+        t_b_vs_1 = _t_ratio(b - 1.0, se_b)
+        if f_stat is None:
+            f_stat = t_b * t_b
+        try:
+            a = math.exp(log_a)
+        except OverflowError:  # log_a past about 709.78 still holds the number
+            a = math.inf
+        super().__init__(
+            log_a, a, b, se_log_a, se_b,
+            t_b, t_two_sided_p(t_b, n - 2), t_b_vs_1, t_two_sided_p(t_b_vs_1, n - 2),
+            r2, r2_adj, f_stat, f_sf(f_stat, 1, n - 2), see, n,
+        )
 
     @property
     def df(self) -> int:
@@ -61,10 +98,10 @@ class RelationConstant(Record):
 def estimate_evolution(pair: AlignedPair) -> EvolutionFit:
     """Estimate the evolutionary coefficient from an aligned pair.
 
-    Runs OLS of ln(sub) on ln(host) on the ``_LineFit`` kernel and builds
-    the inference block through ``evolution_fit_from_summary``; exactly
-    rounded sums make it bit-deterministic.  ``FmtSeries`` makes every
-    log defined and ``AlignedPair`` guarantees n >= 3.
+    Runs OLS of ln(sub) on ln(host) on the ``_LineFit`` kernel and hands
+    its summary numbers to ``EvolutionFit``; exactly rounded sums make it
+    bit-deterministic.  ``FmtSeries`` makes every log defined and
+    ``AlignedPair`` guarantees n >= ``MIN_POINTS``.
     """
     x = [math.log(h) for h in pair.host_values]
     y = [math.log(p) for p in pair.sub_values]
@@ -80,7 +117,7 @@ def estimate_evolution(pair: AlignedPair) -> EvolutionFit:
         f_stat = ssr / (sse / df)
     else:
         f_stat = math.inf if ssr > 0.0 else 0.0
-    return evolution_fit_from_summary(
+    return EvolutionFit(
         b=b,
         se_b=see / math.sqrt(line.sxx),
         n=n,
@@ -90,66 +127,6 @@ def estimate_evolution(pair: AlignedPair) -> EvolutionFit:
         f_stat=f_stat,
         see=see,
     )
-
-
-def evolution_fit_from_summary(
-    b: float,
-    se_b: float,
-    n: int,
-    log_a: float = 0.0,
-    se_log_a: float = 0.0,
-    r2_adj: float | None = None,
-    r2: float | None = None,
-    f_stat: float | None = None,
-    see: float = 0.0,
-) -> EvolutionFit:
-    """Build a fit from regression summary numbers: a published table's, or
-    the OLS that ``estimate_evolution`` runs.
-
-    t and p statistics are derived from the coefficients and SEs given.
-    Published tables are rounded, so no cross-field identity (such as
-    F = t^2) is enforced here; those identities hold for estimator output.
-    """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n!r}")
-    if r2 is None and r2_adj is not None:
-        r2 = 1.0 - (1.0 - r2_adj) * (n - 2) / (n - 1)
-    if r2 is None:
-        r2 = 0.0
-    if r2_adj is None:
-        r2_adj = 1.0 - (1.0 - r2) * (n - 1) / (n - 2)
-    t_b = _t_ratio(b, se_b)
-    t_b_vs_1 = _t_ratio(b - 1.0, se_b)
-    if f_stat is None:
-        f_stat = t_b * t_b
-    try:
-        a = math.exp(log_a)
-    except OverflowError:  # log_a past about 709.78 still holds the number
-        a = math.inf
-    return EvolutionFit(
-        log_a=log_a,
-        a=a,
-        b=b,
-        se_log_a=se_log_a,
-        se_b=se_b,
-        t_b=t_b,
-        p_b=t_two_sided_p(t_b, n - 2),
-        t_b_vs_1=t_b_vs_1,
-        p_b_vs_1=t_two_sided_p(t_b_vs_1, n - 2),
-        r2=r2,
-        r2_adj=r2_adj,
-        f_stat=f_stat,
-        p_f=f_sf(f_stat, 1, n - 2),
-        see=see,
-        n=n,
-    )
-
-
-def predict_subsystem(fit: EvolutionFit, h: float) -> float:
-    """Predicted subsystem level a * h**b at host level h > 0."""
-    if h <= 0.0:
-        raise NonPositiveValue(f"host level {h!r} is not positive")
-    return fit.a * h ** fit.b
 
 
 def relation_constant(

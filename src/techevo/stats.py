@@ -66,12 +66,13 @@ class _LineFit:
 
 def _r_squared(y: Sequence[float], sse: float) -> float:
     """Coefficient of determination of a fit to y with SSE ``sse``, clamped
-    to [0, 1]."""
+    to [0, 1]; a constant y explains nothing, so its r2 is 0 (the 0/0
+    convention of ``_t_ratio``)."""
     ybar = math.fsum(y) / len(y)
     sst = math.fsum((d := yi - ybar) * d for yi in y)
     if sst > 0.0:
         return min(1.0, max(0.0, 1.0 - sse / sst))
-    return 1.0 if sse == 0.0 else 0.0
+    return 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ from collections.abc import Sequence
 from ._record import Record
 from .errors import EmptyEarlyPhase, InputError
 from .logistic import LogisticParams, logistic_value
-from .series import AlignedPair, FmtSeries
+from .series import MIN_POINTS, AlignedPair, FmtSeries
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -159,9 +159,9 @@ class SyntheticSpec(Record):
             )
         if not t_start < t_end:
             raise ValueError(f"t_start {t_start!r} must precede t_end {t_end!r}")
-        if not 3 <= n_points <= _MAX_POINTS:
+        if not MIN_POINTS <= n_points <= _MAX_POINTS:
             raise ValueError(
-                f"n_points must lie in [3, {_MAX_POINTS}], got {n_points!r}"
+                f"n_points must lie in [{MIN_POINTS}, {_MAX_POINTS}], got {n_points!r}"
             )
         if not 0.0 <= noise_sigma < math.inf:
             raise ValueError(
@@ -219,9 +219,10 @@ def early_phase_pair(spec: SyntheticSpec, cap_fraction: float) -> AlignedPair:
     h_cap = cap_fraction * spec.host_params.k
     p_cap = cap_fraction * spec.sub_params.k
     rows = tuple((t, h, p) for t, h, p in full.rows if h <= h_cap and p <= p_cap)
-    if len(rows) < 3:
+    if len(rows) < MIN_POINTS:
         raise EmptyEarlyPhase(
-            f"{len(rows)} rows at or below {cap_fraction!r} of saturation; need >= 3"
+            f"{len(rows)} rows at or below {cap_fraction!r} of saturation; "
+            f"need >= {MIN_POINTS}"
         )
     host = FmtSeries(
         name=full.host.name,

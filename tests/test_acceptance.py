@@ -16,6 +16,7 @@ import time
 
 from conftest import FIXTURES, log_pair, ols_normal_equations, pair_logs, rel_err, sample_series
 from techevo import (
+    EvolutionFit,
     FmtSeries,
     LogisticParams,
     SplitMix64,
@@ -26,7 +27,6 @@ from techevo import (
     early_phase_pair,
     emit_table,
     estimate_evolution,
-    evolution_fit_from_summary,
     fit_logistic,
     generate_pair,
     logistic_value,
@@ -188,7 +188,7 @@ def test_criterion_5_early_phase_consistency():
 
 
 def test_criterion_6_reported_table_reproduction():
-    fit = evolution_fit_from_summary(
+    fit = EvolutionFit(
         b=0.35, se_b=0.02, n=51, log_a=-2.93, se_log_a=0.02,
         r2_adj=0.81, see=0.14, f_stat=213.63,
     )

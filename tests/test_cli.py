@@ -400,18 +400,21 @@ class TestExitCodes:
             ["--sub-params", "3,0.2,-50"],
             ["--host-params", "nan,0.3,100"],
             ["--sub-params", "3,0.2,nan"],
+            # One file for both series (run in tmp_path) would lose the host's.
+            ["--out-host", "same.csv", "--out-sub", "./same.csv"],
         ],
     )
     def test_simulate_value_outside_the_floats_is_a_config_error(
-        self, tmp_path, capsys, options
+        self, tmp_path, capsys, monkeypatch, options
     ):
+        monkeypatch.chdir(tmp_path)
         host, sub = tmp_path / "h.csv", tmp_path / "s.csv"
         args = ["simulate", "--out-host", str(host), "--out-sub", str(sub), *options]
         assert main(args) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("ConfigError: ") and err.count("\n") == 1
         assert "Traceback" not in err
-        assert not host.exists() and not sub.exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_k_search_factor_only_where_a_fit_runs(self, capsys):
         # evolve and report --no-logistic fit no S-curve, so the bound is refused.

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import rel_err, sample_series
 from techevo import (
+    EvolutionFit,
     FmtSeries,
     LogisticParams,
     SplitMix64,
@@ -13,15 +14,13 @@ from techevo import (
     align,
     check_relation,
     estimate_evolution,
-    evolution_fit_from_summary,
     generate_pair,
     logistic_value,
-    predict_subsystem,
     relation_constant,
     solve_time,
     t_quantile,
 )
-from techevo.errors import DegenerateX, NonPositiveValue, ValueAtSaturation
+from techevo.errors import DegenerateX, ValueAtSaturation
 
 
 def pair_from_values(h_values, p_values):
@@ -54,6 +53,13 @@ class TestEstimateEvolution:
         pair = pair_from_values([3, 3, 3, 3], [1, 2, 3, 4])
         with pytest.raises(DegenerateX):
             estimate_evolution(pair)
+
+    def test_constant_subsystem_explains_nothing(self):
+        # SST = 0 forces SSE = 0; r2 takes the same 0/0 convention as t and F.
+        fit = estimate_evolution(pair_from_values([1, 2, 4, 8], [5, 5, 5, 5]))
+        assert (fit.b, fit.t_b, fit.f_stat, fit.p_f) == (0.0, 0.0, 0.0, 1.0)
+        assert fit.r2 == 0.0
+        assert fit.r2_adj == -0.5
 
     def test_deterministic(self):
         pair = pair_from_values([1.1, 2.7, 3.9, 8.2], [0.9, 1.8, 2.2, 3.3])
@@ -101,25 +107,6 @@ class TestEstimateEvolution:
         assert rel_err(fit.f_stat, fit.t_b**2) < 1e-8
         assert abs(fit.p_f - fit.p_b) < 1e-9
         assert fit.a == pytest.approx(math.exp(fit.log_a))
-
-
-class TestPredictSubsystem:
-    def test_arithmetic(self):
-        fit = evolution_fit_from_summary(b=0.5, se_b=0.01, n=10, log_a=math.log(2.0))
-        assert predict_subsystem(fit, 9.0) == pytest.approx(6.0, rel=1e-12)
-
-    def test_identity_params(self):
-        fit = evolution_fit_from_summary(b=1.0, se_b=0.01, n=10, log_a=0.0)
-        assert predict_subsystem(fit, 7.0) == pytest.approx(7.0, rel=1e-12)
-
-    def test_extrapolates_exact_law(self):
-        fit = estimate_evolution(POWER_PAIR)
-        assert predict_subsystem(fit, 36.0) == pytest.approx(12.0, rel=1e-10)
-
-    def test_non_positive_host(self):
-        fit = estimate_evolution(POWER_PAIR)
-        with pytest.raises(NonPositiveValue):
-            predict_subsystem(fit, 0.0)
 
 
 class TestRelationConstant:
@@ -194,7 +181,7 @@ class TestCheckRelation:
 
 class TestSummaryFit:
     def test_derived_statistics(self):
-        fit = evolution_fit_from_summary(b=0.35, se_b=0.02, n=51, log_a=-2.93, se_log_a=0.02)
+        fit = EvolutionFit(b=0.35, se_b=0.02, n=51, log_a=-2.93, se_log_a=0.02)
         assert fit.t_b == pytest.approx(17.5)
         assert fit.t_b_vs_1 == pytest.approx(-32.5)
         assert fit.p_b < 1e-10
@@ -202,13 +189,20 @@ class TestSummaryFit:
         assert fit.df == 49
 
     def test_r2_completion(self):
-        fit = evolution_fit_from_summary(b=0.5, se_b=0.1, n=12, r2_adj=0.81)
+        fit = EvolutionFit(b=0.5, se_b=0.1, n=12, r2_adj=0.81)
         assert fit.r2_adj == 0.81
         assert fit.r2 == pytest.approx(1 - (1 - 0.81) * 10 / 11)
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
-            evolution_fit_from_summary(b=0.5, se_b=0.1, n=2)
+            EvolutionFit(b=0.5, se_b=0.1, n=2)
+
+    def test_takes_summary_numbers_not_the_record_fields(self):
+        # The derived fields (t, p, a, ...) cannot be passed in, so they
+        # cannot disagree with the numbers they are derived from.
+        fit = estimate_evolution(POWER_PAIR)
+        with pytest.raises(TypeError):
+            EvolutionFit(**fit._asdict())
 
 
 @settings(deadline=None, max_examples=30)

@@ -8,14 +8,14 @@ from techevo import (
     INCONCLUSIVE,
     PARALLEL,
     UNDERDEVELOPMENT,
+    EvolutionFit,
     classify_pathway,
-    evolution_fit_from_summary,
 )
 from techevo.errors import InvalidAlpha
 
 
 def summary(b, se_b, n):
-    return evolution_fit_from_summary(b=b, se_b=se_b, n=n)
+    return EvolutionFit(b=b, se_b=se_b, n=n)
 
 
 class TestClassify:

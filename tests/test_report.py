@@ -7,6 +7,7 @@ import pytest
 
 from conftest import FIXTURES, rel_err, sample_series
 from techevo import (
+    EvolutionFit,
     FmtSeries,
     LogisticParams,
     SyntheticSpec,
@@ -14,7 +15,6 @@ from techevo import (
     determinism_digest,
     emit_plot_data,
     emit_table,
-    evolution_fit_from_summary,
     generate_pair,
     report_to_json,
     run_pipeline,
@@ -182,7 +182,7 @@ class TestSerialization:
 
 class TestEmitTable:
     def test_reported_coefficient_cells(self):
-        fit = evolution_fit_from_summary(
+        fit = EvolutionFit(
             b=0.35, se_b=0.02, n=51, log_a=-2.93, se_log_a=0.02,
             r2_adj=0.81, see=0.14, f_stat=213.63,
         )
@@ -193,13 +193,13 @@ class TestEmitTable:
         assert "213.63" in text
 
     def test_no_stars_when_insignificant(self):
-        fit = evolution_fit_from_summary(b=0.6, se_b=0.45, n=10)
+        fit = EvolutionFit(b=0.6, se_b=0.45, n=10)
         assert significance_stars(fit.p_b) == ""
         text = emit_table(stub_report(fit, alpha=0.05))
         assert "*" not in text.split("Significance:")[0]
 
     def test_headers_and_n(self):
-        fit = evolution_fit_from_summary(b=0.5, se_b=0.05, n=23)
+        fit = EvolutionFit(b=0.5, se_b=0.05, n=23)
         text = emit_table(stub_report(fit))
         for header in ("Constant α", "Evolutionary coefficient β=B", "R² adj.", "F", "n"):
             assert header in text

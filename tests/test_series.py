@@ -157,12 +157,16 @@ class TestSeriesInvariants:
             make_series([0, 1, 2, 3], [1, 2, 4, 9], "h"),
             make_series([0, 1, 2, 3], [2, 3, 5, 7], "p"),
         )
-        fields = estimate_evolution(pair)._asdict()
-        assert EvolutionFit(**fields)._asdict() == fields
+        fit = estimate_evolution(pair)
+        summary = {
+            name: getattr(fit, name)
+            for name in ("b", "se_b", "n", "log_a", "se_log_a", "r2", "f_stat", "see")
+        }
+        assert EvolutionFit(**summary) == fit
         with pytest.raises(ValueError, match="n must be >= 3"):
-            EvolutionFit(**{**fields, "n": 2})
+            EvolutionFit(**{**summary, "n": 2})
         with pytest.raises(ValueError, match="standard errors cannot be negative"):
-            EvolutionFit(**{**fields, "se_b": -0.1})
+            EvolutionFit(**{**summary, "se_b": -0.1})
 
     def test_record_arguments(self):
         params = LogisticParams(4.0, 0.3, 100.0)
