@@ -90,8 +90,25 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+#: The files ``report --plot DIR`` writes into DIR, in the order it writes them.
+PLOT_FILES = ("host.csv", "host.svg", "sub.csv", "sub.svg")
+
+
+def _check_out_path(path: str, option: str) -> None:
+    """Refuse, before anything is written, an output file in a missing
+    directory or an output path that is a directory."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(f"no directory for the {option} file {path!r}")
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"the {option} path {path!r} is a directory")
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     """``report``, and ``evolve``, whose parser sets --no-logistic and no plot."""
+    if args.plot and args.out and os.path.abspath(args.out) in {
+        os.path.abspath(os.path.join(args.plot, name)) for name in PLOT_FILES
+    }:
+        raise ConfigError(f"the --out file {args.out!r} is one of the --plot files")
     host = _read_series(args.host)
     sub = _read_series(args.sub)
     factor = None if args.no_logistic else args.k_search_factor
@@ -104,12 +121,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         # Plots are written before the report, so that a plot that cannot be
         # written leaves no report; the --out path is checked first, so that a
         # report that cannot be written there leaves no plots.
-        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
-            raise FileNotFoundError(f"no directory for the --out file {args.out!r}")
-        if args.out and (
-            os.path.isdir(args.out) or os.path.abspath(args.out) == os.path.abspath(args.plot)
-        ):
-            raise IsADirectoryError(f"the --out path {args.out!r} is a directory")
+        if args.out:
+            _check_out_path(args.out, "--out")
+            if os.path.abspath(args.out) == os.path.abspath(args.plot):
+                raise IsADirectoryError(f"the --out path {args.out!r} is a directory")
         os.makedirs(args.plot, exist_ok=True)
         fits = report["logistic_fits"]
         for label, series in (("host", host), ("sub", sub)):
@@ -146,6 +161,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         pair = generate_pair(spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # Both paths are checked first, so that a sub that cannot be written
+    # leaves no host.
+    _check_out_path(args.out_host, "--out-host")
+    _check_out_path(args.out_sub, "--out-sub")
     _write_text(args.out_host, serialize_fmt_csv(pair.host))
     _write_text(args.out_sub, serialize_fmt_csv(pair.sub))
     print(f"wrote {args.out_host} and {args.out_sub} (n={len(pair)}, seed={spec.seed})")
@@ -187,62 +206,87 @@ def _add_pair_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write output to this file instead of stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="techevo",
-        description="S-curve fitting and evolutionary-coefficient estimation "
-        "for functional measures of technology",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_fit_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("csv", help="series CSV (t,value)")
+    p.add_argument("--name", help="series name (default: file stem)")
+    _add_k_search_factor(p)
+    _add_format(p)
+    p.set_defaults(func=_cmd_fit)
 
-    p_fit = sub.add_parser("fit", help="fit one series' S-curve")
-    p_fit.add_argument("csv", help="series CSV (t,value)")
-    p_fit.add_argument("--name", help="series name (default: file stem)")
-    _add_k_search_factor(p_fit)
-    _add_format(p_fit)
-    p_fit.set_defaults(func=_cmd_fit)
 
-    p_evolve = sub.add_parser(
-        "evolve", help="estimate the evolutionary coefficient and pathway"
-    )
-    _add_pair_args(p_evolve)
-    p_evolve.set_defaults(func=_cmd_report, no_logistic=True, plot=None)
+def _add_evolve_args(p: argparse.ArgumentParser) -> None:
+    _add_pair_args(p)
+    p.set_defaults(func=_cmd_report, no_logistic=True, plot=None)
 
-    p_report = sub.add_parser("report", help="full pipeline with artifacts")
-    _add_pair_args(p_report)
+
+def _add_report_args(p: argparse.ArgumentParser) -> None:
+    _add_pair_args(p)
     # --no-logistic fits no S-curve, so a bound on k beside it is refused.
-    fits = p_report.add_mutually_exclusive_group()
+    fits = p.add_mutually_exclusive_group()
     _add_k_search_factor(fits)
     fits.add_argument(
         "--no-logistic", action="store_true", help="skip the per-series S-curve fits"
     )
-    p_report.add_argument("--plot", help="directory for plot CSV/SVG artifacts")
-    p_report.set_defaults(func=_cmd_report)
+    p.add_argument("--plot", help="directory for plot CSV/SVG artifacts")
+    p.set_defaults(func=_cmd_report)
 
-    p_sim = sub.add_parser("simulate", help="generate a seeded synthetic pair")
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument(
+
+def _add_simulate_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
         "--host-params", type=_params_triple, default=(4.0, 0.3, 100.0),
         help="host a,b,k (default 4,0.3,100)",
     )
-    p_sim.add_argument(
+    p.add_argument(
         "--sub-params", type=_params_triple, default=(3.0, 0.2, 50.0),
         help="subsystem a,b,k (default 3,0.2,50)",
     )
-    p_sim.add_argument("--t-start", type=float, default=0.0)
-    p_sim.add_argument("--t-end", type=float, default=40.0)
-    p_sim.add_argument("--n-points", type=int, default=21)
-    p_sim.add_argument("--noise-sigma", type=float, default=0.0)
-    p_sim.add_argument("--out-host", default="host.csv")
-    p_sim.add_argument("--out-sub", default="sub.csv")
-    p_sim.set_defaults(func=_cmd_simulate)
+    p.add_argument("--t-start", type=float, default=0.0)
+    p.add_argument("--t-end", type=float, default=40.0)
+    p.add_argument("--n-points", type=int, default=21)
+    p.add_argument("--noise-sigma", type=float, default=0.0)
+    p.add_argument("--out-host", default="host.csv")
+    p.add_argument("--out-sub", default="sub.csv")
+    p.set_defaults(func=_cmd_simulate)
 
+
+#: Subcommand -> (help line, function adding its arguments), in help order.
+COMMANDS = {
+    "fit": ("fit one series' S-curve", _add_fit_args),
+    "evolve": ("estimate the evolutionary coefficient and pathway", _add_evolve_args),
+    "report": ("full pipeline with artifacts", _add_report_args),
+    "simulate": ("generate a seeded synthetic pair", _add_simulate_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone.
+
+    A parser for one command parses, and refuses, that command's arguments
+    exactly as the full one does; the usage line is spelled out so that it
+    names every subcommand either way.
+    """
+    parser = argparse.ArgumentParser(
+        prog="techevo",
+        usage=f"%(prog)s [-h] [--version] {{{','.join(COMMANDS)}}} ...",
+        description="S-curve fitting and evolutionary-coefficient estimation "
+        "for functional measures of technology",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    # Without prog, argparse would prefix each subcommand's usage with the
+    # whole spelled-out usage line rather than with "techevo".
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+    for name, (help_line, add_arguments) in COMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # Only the named command's parser is built; anything else gets the full one.
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except TechEvoError as exc:

@@ -145,14 +145,10 @@ def _quantize(obj):
     return obj
 
 
-def determinism_digest(report: dict) -> str:
-    """SHA-256 over the quantized report with the timestamp blanked.
-
-    Identical inputs and config yield identical digests across runs; the
-    timestamp is the one field allowed to differ.  Any ``digest`` the
-    report already carries is left out.
-    """
-    d = _quantize(report)
+def _digest_quantized(d: dict) -> str:
+    """``determinism_digest`` of a report that ``_quantize`` has already
+    returned; ``d`` is left as it is."""
+    d = dict(d)
     d.pop("digest", None)
     prov = dict(d.get("provenance") or {})
     prov.pop("timestamp", None)
@@ -161,11 +157,21 @@ def determinism_digest(report: dict) -> str:
     return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def determinism_digest(report: dict) -> str:
+    """SHA-256 over the quantized report with the timestamp blanked.
+
+    Identical inputs and config yield identical digests across runs; the
+    timestamp is the one field allowed to differ.  Any ``digest`` the
+    report already carries is left out.
+    """
+    return _digest_quantized(_quantize(report))
+
+
 def report_to_json(report: dict) -> str:
     """Strict (RFC 8259) pretty JSON with quantized floats and an embedded
     digest."""
     d = _quantize(report)
-    d["digest"] = determinism_digest(d)
+    d["digest"] = _digest_quantized(d)
     return json.dumps(d, indent=2, allow_nan=False) + "\n"
 
 
@@ -265,15 +271,16 @@ def emit_plot_data(series: FmtSeries, params: LogisticParams | None = None) -> P
     """
     ts = series.ts
     obs = series.values
-    fitted = None
-    if params is not None:
+    if params is None:
+        csv_text = "t,observed\n" + "".join([f"{t!r},{v!r}\n" for t, v in zip(ts, obs)])
+        y_high = max(obs)
+    else:
         fitted = [logistic_value(params, t) for t in ts]
-
-    columns = (ts, obs) if fitted is None else (ts, obs, fitted)
-    header = "t,observed" if fitted is None else "t,observed,fitted"
-    csv_text = header + "\n" + "".join(
-        ",".join(map(repr, row)) + "\n" for row in zip(*columns)
-    )
+        csv_text = "t,observed,fitted\n" + "".join(
+            [f"{t!r},{v!r},{f!r}\n" for t, v, f in zip(ts, obs, fitted)]
+        )
+        y_high = max(max(obs), max(fitted))
+    y_high *= 1.05
 
     t0, t1 = ts[0], ts[-1]
     # Times are scaled by a power of two into [-1, 1] before they are
@@ -284,34 +291,34 @@ def emit_plot_data(series: FmtSeries, params: LogisticParams | None = None) -> P
     t_exp = math.frexp(max(abs(t0), abs(t1)))[1]
     s0 = math.ldexp(t0, -t_exp)
     span = math.ldexp(t1, -t_exp) - s0
-    y_high = max(obs) if fitted is None else max(max(obs), max(fitted))
-    y_high *= 1.05
-
-    def sx(t: float) -> float:
-        return _SVG_MARGIN + (math.ldexp(t, -t_exp) - s0) / span * (_SVG_W - 2 * _SVG_MARGIN)
-
-    def sy(v: float) -> float:
-        return _SVG_H - _SVG_MARGIN - v / y_high * (_SVG_H - 2 * _SVG_MARGIN)
+    # A point (t, v) is drawn at x = x0 + (t scaled - s0) / span * x_width
+    # and y = y0 - v / y_high * y_height.
+    ldexp = math.ldexp
+    x0, x_width = _SVG_MARGIN, _SVG_W - 2 * _SVG_MARGIN
+    y0, y_height = _SVG_H - _SVG_MARGIN, _SVG_H - 2 * _SVG_MARGIN
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_SVG_W:.0f} {_SVG_H:.0f}">',
-        f'<line x1="{_SVG_MARGIN:.2f}" y1="{_SVG_H - _SVG_MARGIN:.2f}" '
-        f'x2="{_SVG_W - _SVG_MARGIN:.2f}" y2="{_SVG_H - _SVG_MARGIN:.2f}" stroke="#333"/>',
-        f'<line x1="{_SVG_MARGIN:.2f}" y1="{_SVG_MARGIN:.2f}" '
-        f'x2="{_SVG_MARGIN:.2f}" y2="{_SVG_H - _SVG_MARGIN:.2f}" stroke="#333"/>',
+        f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{_SVG_W - _SVG_MARGIN:.2f}" y2="{y0:.2f}" '
+        'stroke="#333"/>',
+        f'<line x1="{x0:.2f}" y1="{_SVG_MARGIN:.2f}" x2="{x0:.2f}" y2="{y0:.2f}" stroke="#333"/>',
     ]
     if params is not None:
-        pts = []
-        for i in range(_CURVE_SAMPLES + 1):
-            t = math.ldexp(s0 + span * i / _CURVE_SAMPLES, t_exp)
-            pts.append(f"{sx(t):.2f},{sy(logistic_value(params, t)):.2f}")
+        curve_ts = [
+            ldexp(s0 + span * i / _CURVE_SAMPLES, t_exp) for i in range(_CURVE_SAMPLES + 1)
+        ]
+        pts = " ".join([
+            f"{x0 + (ldexp(t, -t_exp) - s0) / span * x_width:.2f},"
+            f"{y0 - logistic_value(params, t) / y_high * y_height:.2f}"
+            for t in curve_ts
+        ])
         parts.append(
-            '<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" '
-            f'points="{" ".join(pts)}"/>'
+            f'<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" points="{pts}"/>'
         )
-    for t, v in zip(ts, obs):
-        parts.append(
-            f'<circle cx="{sx(t):.2f}" cy="{sy(v):.2f}" r="3" fill="#d62728"/>'
-        )
+    parts += [
+        f'<circle cx="{x0 + (ldexp(t, -t_exp) - s0) / span * x_width:.2f}" '
+        f'cy="{y0 - v / y_high * y_height:.2f}" r="3" fill="#d62728"/>'
+        for t, v in zip(ts, obs)
+    ]
     parts.append("</svg>")
     return PlotData(csv=csv_text, svg="\n".join(parts) + "\n")

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import techevo.cli
 from conftest import FIXTURES
 from techevo import fit_logistic, parse_fmt_csv
-from techevo.cli import EXIT_OK, build_parser, main
+from techevo.cli import COMMANDS, EXIT_OK, PLOT_FILES, build_parser, main
 from techevo.errors import (
     AlignmentError,
     ConfigError,
@@ -416,6 +416,37 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_simulate_output_that_cannot_be_written_writes_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        for host, sub, error in (
+            ("h.csv", "missing/s.csv", "FileNotFoundError"),
+            ("missing/h.csv", "s.csv", "FileNotFoundError"),
+            ("h.csv", "d", "IsADirectoryError"),
+        ):
+            assert main(["simulate", "--out-host", host, "--out-sub", sub]) == EXIT_INPUT
+            assert capsys.readouterr().err.startswith(f"{error}: ")
+            assert [p.name for p in tmp_path.iterdir()] == ["d"]
+            assert list((tmp_path / "d").iterdir()) == []
+
+    def test_out_file_that_is_a_plot_file_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        args = ["report", "--host", SYNTH[0], "--sub", SYNTH[1]]
+        # Refused before the --plot directory is made...
+        assert main([*args, "--out", "plots/host.csv", "--plot", "plots/"]) == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+        # ...and before any plot in an existing one is written.
+        assert main([*args, "--out", "r.json", "--plot", "plots"]) == EXIT_OK
+        plots = {name: (tmp_path / "plots" / name).read_bytes() for name in PLOT_FILES}
+        for name in PLOT_FILES:
+            out = str(tmp_path / "plots" / ".." / "plots" / name)
+            assert main([*args, "--out", out, "--plot", "plots"]) == EXIT_CONFIG
+            assert {n: (tmp_path / "plots" / n).read_bytes() for n in PLOT_FILES} == plots
+        err = capsys.readouterr().err
+        assert err.count("ConfigError: ") == 1 + len(PLOT_FILES) and "Traceback" not in err
+
     def test_k_search_factor_only_where_a_fit_runs(self, capsys):
         # evolve and report --no-logistic fit no S-curve, so the bound is refused.
         pair = ["--host", POWER[0], "--sub", POWER[1], "--k-search-factor", "5"]
@@ -438,6 +469,56 @@ class TestExitCodes:
                 main(["simulate", option, text])
             assert exc.value.code == 2
             assert message in capsys.readouterr().err
+
+
+def _parity_cases():
+    """Help, version and usage errors of every command; HOST and SUB stand
+    for the synth fixtures."""
+    pair = ["--host", "HOST", "--sub", "SUB"]
+    valid = {"fit": ["HOST"], "evolve": pair, "report": pair, "simulate": ["--seed", "1"]}
+    cases = [
+        [], ["-h"], ["--version"], ["bogus"], ["--bogus"], ["-h", "report"],
+        ["report", *pair, "--k-search-factor", "5", "--no-logistic"],
+        ["report", *pair, "--no-logistic", "--k-search-factor", "5"],
+        ["simulate", "--seed"], ["simulate", "--host-params", "1,2"], ["fit", "HOST", "--version"],
+    ]
+    for command in COMMANDS:
+        cases += [
+            [command, "-h"],
+            [command, *valid[command], "--format", "xml"],
+            [command, *valid[command], "extra"],
+        ]
+        if command != "simulate":  # every simulate option has a default
+            cases.append([command])
+    return cases
+
+
+class TestParserParity:
+    """``main`` builds only the parser of the command it is given; what it
+    prints and how it exits must be those of the full parser."""
+
+    @staticmethod
+    def outcome(parse, argv, capsys):
+        """Exit code, stdout and stderr of ``parse(argv)``, which must exit."""
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    @pytest.mark.parametrize("argv", _parity_cases(), ids=" ".join)
+    def test_main_parses_as_the_full_parser(self, argv, capsys):
+        argv = [{"HOST": SYNTH[0], "SUB": SYNTH[1]}.get(a, a) for a in argv]
+        got = self.outcome(main, argv, capsys)
+        assert got == self.outcome(build_parser().parse_args, argv, capsys)
+        assert got[0] in (0, 2)
+
+    def test_usage_lines_are_the_generated_ones(self, capsys):
+        parser, generated = build_parser(), build_parser()
+        generated.usage = None
+        assert parser.format_help() == generated.format_help()
+        for command in COMMANDS:
+            out = self.outcome(main, [command, "-h"], capsys)[1]
+            assert out.startswith(f"usage: techevo {command} [-h]")
 
 
 _EXTREME = [

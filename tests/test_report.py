@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from datetime import datetime, timezone
@@ -20,7 +21,7 @@ from techevo import (
     run_pipeline,
     significance_stars,
 )
-from techevo.cli import _read_series
+from techevo.cli import EXIT_OK, _read_series, main
 
 POWER_HOST = FIXTURES / "power_host.csv"
 POWER_SUB = FIXTURES / "power_sub.csv"
@@ -257,3 +258,35 @@ class TestEmitPlotData:
             svg = emit_plot_data(series, LogisticParams(0, 1e-300, 4)).svg
             assert "nan" not in svg and "inf" not in svg
             assert svg.count("<circle") == 3
+
+
+class TestPlotDigests:
+    """The four plot files of ``report --plot``, pinned across commits.
+
+    One SHA-256 over host.csv, host.svg, sub.csv and sub.svg, in that order,
+    for the synth fixtures and for a seeded n = 10 000 ``simulate`` pair,
+    each with and without the S-curve fits.
+    """
+
+    PLOT_DIGESTS = {
+        ("synth", False): "416e6a7f7e00533eea159acd81deb61293539b55a48e04eeabbcf38a1c024e83",
+        ("synth", True): "5e46a19204abc36fe7cce8cf2eddb40b963e5ea6ec89a2148a444986d6490acf",
+        ("simulate", False): "8f14b3e174a4b6fa477633d8e82f1c7f105604c06e3edd3d03324b680664dd25",
+        ("simulate", True): "2b8c20cc879930c08b6c82734cf9239ae0a2e7acba2e7ee03667b07334c34d63",
+    }
+
+    @pytest.mark.parametrize("pair, no_logistic", sorted(PLOT_DIGESTS))
+    def test_plot_digests_pinned(self, pair, no_logistic, tmp_path, capsys):
+        host, sub = str(SYNTH_HOST), str(SYNTH_SUB)
+        if pair == "simulate":
+            host, sub = str(tmp_path / "h.csv"), str(tmp_path / "s.csv")
+            args = ["simulate", "--n-points", "10000", "--noise-sigma", "0.02", "--seed", "5"]
+            assert main([*args, "--out-host", host, "--out-sub", sub]) == EXIT_OK
+        plots = tmp_path / "plots"
+        args = ["report", "--host", host, "--sub", sub, "--plot", str(plots)]
+        args += ["--out", str(tmp_path / "r.json")]
+        assert main(args + ["--no-logistic"] * no_logistic) == EXIT_OK
+        digest = hashlib.sha256()
+        for name in ("host.csv", "host.svg", "sub.csv", "sub.svg"):
+            digest.update((plots / name).read_bytes())
+        assert digest.hexdigest() == self.PLOT_DIGESTS[pair, no_logistic]
