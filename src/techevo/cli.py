@@ -12,7 +12,7 @@ Exit codes
 0 on success and 2 on a usage error (argparse).  Every other failure exits
 with the ``exit_code`` of its category in ``errors.py`` (10-14, or 1 for
 the bare base class); a file that cannot be read or written, or is not
-UTF-8, exits 10.
+UTF-8, exits 10.  Every output path is checked before any input is read.
 """
 
 from __future__ import annotations
@@ -94,21 +94,38 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 PLOT_FILES = ("host.csv", "host.svg", "sub.csv", "sub.svg")
 
 
-def _check_out_path(path: str, option: str) -> None:
-    """Refuse, before anything is written, an output file in a missing
-    directory or an output path that is a directory."""
-    if not os.path.isdir(os.path.dirname(path) or "."):
-        raise FileNotFoundError(f"no directory for the {option} file {path!r}")
-    if os.path.isdir(path):
-        raise IsADirectoryError(f"the {option} path {path!r} is a directory")
+def _check_files(reads: dict[str, str], writes: dict[str, str], made: str | None) -> None:
+    """Refuse an output that is a directory, is ``made`` (the directory the
+    command makes) or lies in a missing one but ``made``, then a file named
+    twice but not only by inputs.  A directory is known by the device and
+    inode of its path as given, or while it is missing by its absolute path."""
+    ids: dict[str, tuple[int, int] | str] = {}
+
+    def dir_id(path: str) -> tuple[int, int] | str:
+        if path not in ids:
+            st = os.stat(path or ".") if os.path.isdir(path or ".") else None
+            ids[path] = (st.st_dev, st.st_ino) if st else os.path.abspath(path)
+        return ids[path]
+
+    made_id = made and dir_id(made)
+    seen: dict[tuple, str] = {}
+    for option, path in (writes | reads).items():
+        file = dir_id(os.path.dirname(path)), os.path.basename(path)
+        if option in writes:
+            if not isinstance(itself := dir_id(path), str) or itself == made_id:
+                raise IsADirectoryError(f"the {option} path {path!r} is a directory")
+            if isinstance(file[0], str) and file[0] != made_id:
+                raise FileNotFoundError(f"no directory for the {option} file {path!r}")
+        first = seen.setdefault(file, option)
+        if first in writes and first != option:
+            raise ConfigError(f"{first} and {option} name the same file {path!r}")
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     """``report``, and ``evolve``, whose parser sets --no-logistic and no plot."""
-    if args.plot and args.out and os.path.abspath(args.out) in {
-        os.path.abspath(os.path.join(args.plot, name)) for name in PLOT_FILES
-    }:
-        raise ConfigError(f"the --out file {args.out!r} is one of the --plot files")
+    writes = {"--out": args.out} if args.out else {}
+    writes |= {f"--plot {name}": os.path.join(args.plot, name) for name in PLOT_FILES if args.plot}
+    _check_files({"--host": args.host, "--sub": args.sub}, writes, args.plot)
     host = _read_series(args.host)
     sub = _read_series(args.sub)
     factor = None if args.no_logistic else args.k_search_factor
@@ -118,13 +135,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     text = report_to_json(report) if args.format == "json" else emit_table(report)
     if args.plot:
-        # Plots are written before the report, so that a plot that cannot be
-        # written leaves no report; the --out path is checked first, so that a
-        # report that cannot be written there leaves no plots.
-        if args.out:
-            _check_out_path(args.out, "--out")
-            if os.path.abspath(args.out) == os.path.abspath(args.plot):
-                raise IsADirectoryError(f"the --out path {args.out!r} is a directory")
         os.makedirs(args.plot, exist_ok=True)
         fits = report["logistic_fits"]
         for label, series in (("host", host), ("sub", sub)):
@@ -144,10 +154,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    # Every input of simulate is an option, so a spec it refuses is a
-    # configuration error; so is one file for both series.
-    if os.path.abspath(args.out_host) == os.path.abspath(args.out_sub):
-        raise ConfigError(f"--out-host and --out-sub name the same file {args.out_host!r}")
+    _check_files({}, {"--out-host": args.out_host, "--out-sub": args.out_sub}, None)
+    # simulate's inputs are all options, so a spec it refuses is a ConfigError.
     try:
         spec = SyntheticSpec(
             host_params=LogisticParams(*args.host_params),
@@ -161,10 +169,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         pair = generate_pair(spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # Both paths are checked first, so that a sub that cannot be written
-    # leaves no host.
-    _check_out_path(args.out_host, "--out-host")
-    _check_out_path(args.out_sub, "--out-sub")
     _write_text(args.out_host, serialize_fmt_csv(pair.host))
     _write_text(args.out_sub, serialize_fmt_csv(pair.sub))
     print(f"wrote {args.out_host} and {args.out_sub} (n={len(pair)}, seed={spec.seed})")

@@ -471,6 +471,94 @@ class TestExitCodes:
             assert message in capsys.readouterr().err
 
 
+def _symlink_or_skip(target, link):
+    try:
+        os.symlink(target, link, target_is_directory=True)
+    except OSError as exc:  # e.g. no symlink privilege on Windows
+        pytest.skip(f"cannot make a symlink: {exc}")
+
+
+def _tree(root):
+    """Every file under ``root`` with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestFileChecks:
+    """Every path a command names is checked before anything is read or
+    written: one file may not be named twice where either name is an output."""
+
+    def test_output_that_names_an_input_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_csv(tmp_path / "h.csv", ["0,1", "1,2", "2,4", "3,8"])
+        write_csv(tmp_path / "p.csv", ["0,1", "1,3", "2,9", "3,27"])
+        (tmp_path / "d").mkdir()
+        write_csv(tmp_path / "d" / "host.csv", ["0,1", "1,2", "2,4", "3,8"])
+        before = _tree(tmp_path)
+        pair = ["--host", "h.csv", "--sub", "p.csv"]
+        assert main(["evolve", *pair, "--out", "./h.csv"]) == EXIT_CONFIG
+        assert main(["report", *pair, "--out", str(tmp_path / "p.csv")]) == EXIT_CONFIG
+        # The host's plot CSV would replace the host itself.
+        args = ["report", "--host", "d/host.csv", "--sub", "p.csv", "--plot", "d"]
+        assert main(args) == EXIT_CONFIG
+        assert _tree(tmp_path) == before
+        err = capsys.readouterr().err
+        assert err.count("ConfigError: ") == 3 and "name the same file" in err
+        # Two inputs may name one file.
+        two_names = ["evolve", "--host", "h.csv", "--sub", "./h.csv", "--out", "e.json"]
+        assert main(two_names) == EXIT_OK
+
+    def test_a_link_to_a_directory_names_its_files(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a" / "real").mkdir(parents=True)
+        _symlink_or_skip(os.path.join("a", "real"), "link")
+        for host in (tmp_path / "a" / "h.csv", tmp_path / "h.csv"):
+            host.write_bytes(Path(SYNTH[0]).read_bytes())
+        before = _tree(tmp_path)
+        pair = ["--host", SYNTH[0], "--sub", SYNTH[1]]
+        assert main(["report", *pair, "--plot", "link", "--out", "a/real/host.csv"]) == EXIT_CONFIG
+        args = ["simulate", "--out-host", "a/real/x.csv", "--out-sub", "link/x.csv"]
+        assert main(args) == EXIT_CONFIG
+        # link/.. is a, where the system leads, not the working directory.
+        evolve = ["evolve", "--sub", SYNTH[1], "--out", "link/../h.csv"]
+        assert main([*evolve, "--host", "a/h.csv"]) == EXIT_CONFIG
+        assert _tree(tmp_path) == before
+        assert capsys.readouterr().err.count("ConfigError: ") == 3
+        assert main([*evolve, "--host", "h.csv"]) == EXIT_OK
+        assert json.loads((tmp_path / "a" / "h.csv").read_text())["schema_version"] == 2
+        assert (tmp_path / "h.csv").read_bytes() == before["h.csv"]
+
+    def test_plot_file_that_is_a_directory_writes_no_plot(self, tmp_path, capsys):
+        plots = tmp_path / "plots"
+        (plots / "sub.svg").mkdir(parents=True)
+        args = ["report", "--host", SYNTH[0], "--sub", SYNTH[1], "--plot", str(plots)]
+        assert main(args) == EXIT_INPUT
+        assert [p.name for p in plots.iterdir()] == ["sub.svg"]
+        assert list((plots / "sub.svg").iterdir()) == []
+        assert capsys.readouterr().err.startswith("IsADirectoryError: ")
+
+    def test_outputs_are_checked_before_any_input_is_read(self, tmp_path, capsys, monkeypatch):
+        def unread(*args):
+            raise AssertionError("an input was read before the outputs were checked")
+
+        monkeypatch.setattr(techevo.cli, "_read_series", unread)
+        out = ["--out", str(tmp_path / "missing" / "r.json")]
+        for command in ("evolve", "report"):
+            assert main([command, "--host", SYNTH[0], "--sub", SYNTH[1], *out]) == EXIT_INPUT
+        assert capsys.readouterr().err.count("FileNotFoundError: ") == 2
+
+    def test_out_file_in_the_plot_directory_to_be_made(self, tmp_path, capsys):
+        plots = tmp_path / "plots"
+        args = ["report", "--host", SYNTH[0], "--sub", SYNTH[1], "--plot", str(plots)]
+        assert main([*args, "--out", str(plots / "r.json")]) == EXIT_OK
+        assert sorted(p.name for p in plots.iterdir()) == sorted([*PLOT_FILES, "r.json"])
+        assert json.loads((plots / "r.json").read_text())["schema_version"] == 2
+
+    def test_simulate_empty_output_path_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--out-host", "h.csv", "--out-sub", ""]) == EXIT_INPUT
+        assert list(tmp_path.iterdir()) == []
+
+
 def _parity_cases():
     """Help, version and usage errors of every command; HOST and SUB stand
     for the synth fixtures."""
