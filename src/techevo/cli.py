@@ -27,6 +27,7 @@ from .errors import ConfigError, InputError, TechEvoError
 from .logistic import DEFAULT_K_SEARCH_FACTOR, LogisticParams, fit_logistic
 from .pathway import DEFAULT_ALPHA
 from .report import (
+    FLOAT_DIGITS,
     _logistic_fit_dict,
     _quantize,
     emit_plot_data,
@@ -85,7 +86,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         f = payload["fit"]
         print(f"series: {series.name} (n={len(series)})")
         for key in ("a", "b", "k", "inflection_time", "sse_log", "r2_log"):
-            print(f"{key:>16}: {f[key]:.12g}")
+            print(f"{key:>16}: {f[key]:.{FLOAT_DIGITS}g}")
         print(f"{'k_at_bound':>16}: {f['k_at_bound']}")
     return EXIT_OK
 
@@ -95,10 +96,16 @@ PLOT_FILES = ("host.csv", "host.svg", "sub.csv", "sub.svg")
 
 
 def _check_files(reads: dict[str, str], writes: dict[str, str], made: str | None) -> None:
-    """Refuse an output that is a directory, is ``made`` (the directory the
-    command makes) or lies in a missing one but ``made``, then a file named
-    twice but not only by inputs.  A directory is known by the device and
-    inode of its path as given, or while it is missing by its absolute path."""
+    """Refuse a ``made`` (the directory the command makes) under a path that
+    is not a directory, an output that is a directory, is ``made`` or lies
+    in a missing one but ``made``, then a file named twice but not only by
+    inputs.  A directory is known by the device and inode of its path as
+    given, or while it is missing by its absolute path."""
+    top = made
+    while top and not os.path.lexists(top):
+        top = os.path.dirname(top)
+    if made and not os.path.isdir(top or "."):
+        raise NotADirectoryError(f"cannot make {made!r}: {top!r} is not a directory")
     ids: dict[str, tuple[int, int] | str] = {}
 
     def dir_id(path: str) -> tuple[int, int] | str:

@@ -13,7 +13,9 @@ operation; ``x ** 2`` calls the C library's ``pow``, which need not be
 correctly rounded), so identical inputs give bit-identical outputs on any
 platform.  The incomplete beta uses the modified Lentz continued
 fraction, good to better than 10 significant digits for degrees of
-freedom up to 1e6.
+freedom up to 1e6.  Every p value the package reports is an F(1, df)
+upper tail from that one continued fraction: the two-sided Student-t
+tail at t is ``f_sf(t * t, 1, df)``, since T^2 ~ F(1, df).
 """
 
 from __future__ import annotations
@@ -97,25 +99,19 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _LENTZ_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _LENTZ_TINY:
-            d = _LENTZ_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _LENTZ_TINY:
-            c = _LENTZ_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _LENTZ_TINY:
-            d = _LENTZ_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _LENTZ_TINY:
-            c = _LENTZ_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + aa * d
+            if abs(d) < _LENTZ_TINY:
+                d = _LENTZ_TINY
+            c = 1.0 + aa / c
+            if abs(c) < _LENTZ_TINY:
+                c = _LENTZ_TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _LENTZ_EPS:
             return h
     return h
@@ -189,14 +185,9 @@ def _check_df(df: int) -> int:
 
 
 def t_two_sided_p(t: float, df: int) -> float:
-    """P(|T| >= |t|) for Student's t with ``df`` degrees of freedom."""
-    df = _check_df(df)
-    if math.isnan(t):
-        raise ValueError("t statistic is NaN")
-    if math.isinf(t):
-        return 0.0
-    z = t * t
-    return _incomplete_beta(df / 2.0, 0.5, df / (df + z), z / (df + z))
+    """P(|T| >= |t|) for Student's t with ``df`` degrees of freedom: the
+    F(1, df) upper tail at t^2, since T^2 ~ F(1, df)."""
+    return f_sf(t * t, 1, df)
 
 
 def t_cdf(t: float, df: int) -> float:

@@ -483,6 +483,10 @@ def _tree(root):
     return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
+def _unread(*args):
+    raise AssertionError("an input was read before the outputs were checked")
+
+
 class TestFileChecks:
     """Every path a command names is checked before anything is read or
     written: one file may not be named twice where either name is an output."""
@@ -537,14 +541,24 @@ class TestFileChecks:
         assert capsys.readouterr().err.startswith("IsADirectoryError: ")
 
     def test_outputs_are_checked_before_any_input_is_read(self, tmp_path, capsys, monkeypatch):
-        def unread(*args):
-            raise AssertionError("an input was read before the outputs were checked")
-
-        monkeypatch.setattr(techevo.cli, "_read_series", unread)
+        monkeypatch.setattr(techevo.cli, "_read_series", _unread)
         out = ["--out", str(tmp_path / "missing" / "r.json")]
         for command in ("evolve", "report"):
             assert main([command, "--host", SYNTH[0], "--sub", SYNTH[1], *out]) == EXIT_INPUT
         assert capsys.readouterr().err.count("FileNotFoundError: ") == 2
+
+    def test_plot_path_that_cannot_be_a_directory_is_refused_first(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(techevo.cli, "_read_series", _unread)
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory\n")
+        before = _tree(tmp_path)
+        pair = ["--host", SYNTH[0], "--sub", SYNTH[1], "--out", str(tmp_path / "r.json")]
+        for plot in (afile, afile / "sub", str(afile) + os.sep):
+            assert main(["report", *pair, "--plot", str(plot)]) == EXIT_INPUT
+        assert _tree(tmp_path) == before
+        assert capsys.readouterr().err.count("NotADirectoryError: ") == 3
 
     def test_out_file_in_the_plot_directory_to_be_made(self, tmp_path, capsys):
         plots = tmp_path / "plots"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -193,6 +194,34 @@ class TestIncompleteBeta:
             regularized_incomplete_beta(-1.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             regularized_incomplete_beta(1.0, 1.0, 1.5)
+
+
+class TestTailPin:
+    """Every tail pinned bit for bit: one SHA-256 over the ``repr`` of each
+    value on a fixed grid.  The scipy comparisons above allow 1e-10, and the
+    report digest sees 12 digits, so neither catches one drifted bit."""
+
+    T_GRID = (0.0, -0.0, 1e-3, -1e-3, 1.96, -1.96, 50.0, -50.0, 1e200, -1e200, math.inf, -math.inf)
+    DF_GRID = (1, 2, 3, 48, 10**4, 999_998)
+    P_GRID = (0.005, 0.025, 0.3, 0.5, 0.975, 0.995)
+    # The (a, b, x) grid of TestIncompleteBeta.test_against_scipy.
+    BETA_GRID = [
+        (a, b, x)
+        for a in (0.5, 1.0, 2.5, 10.0, 500.0, 5e5)
+        for b in (0.5, 1.0, 3.5)
+        for x in (1e-9, 0.001, 0.2, 0.5, 0.77, 0.999, 1 - 1e-9)
+    ]
+    DIGEST = "f267cdc43cb7d13e73a73f641727e8465da55f20dd4ffef09291b59bc94a572f"
+
+    def test_tails_pinned(self):
+        values = []
+        for df in self.DF_GRID:
+            for t in self.T_GRID:
+                values += [t_two_sided_p(t, df), t_cdf(t, df), f_sf(t, 1, df), f_sf(t * t, 1, df)]
+            values += [t_quantile(p, df) for p in self.P_GRID]
+        values += [regularized_incomplete_beta(a, b, x) for a, b, x in self.BETA_GRID]
+        text = "\n".join(map(repr, values))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
 
 
 def test_ols_deterministic():
