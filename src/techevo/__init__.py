@@ -23,20 +23,8 @@ The ``techevo`` CLI wraps the same pipeline for CSV files.
 __version__ = "0.1.0"
 
 from . import errors
-from .coevolution import (
-    EvolutionFit,
-    RelationConstant,
-    check_relation,
-    estimate_evolution,
-    relation_constant,
-)
-from .logistic import (
-    LogisticFit,
-    LogisticParams,
-    fit_logistic,
-    logistic_value,
-    solve_time,
-)
+from .coevolution import EvolutionFit, estimate_evolution
+from .logistic import LogisticFit, LogisticParams, fit_logistic, logistic_value
 from .pathway import (
     DEVELOPMENT,
     INCONCLUSIVE,
@@ -69,12 +57,7 @@ from .stats import (
     t_quantile,
     t_two_sided_p,
 )
-from .synthetic import (
-    SplitMix64,
-    SyntheticSpec,
-    early_phase_pair,
-    generate_pair,
-)
+from .synthetic import SplitMix64, SyntheticSpec, generate_pair
 
 __all__ = [
     "__version__",
@@ -89,7 +72,6 @@ __all__ = [
     "LogisticParams",
     "LogisticFit",
     "logistic_value",
-    "solve_time",
     "fit_logistic",
     # stats
     "t_cdf",
@@ -99,10 +81,7 @@ __all__ = [
     "regularized_incomplete_beta",
     # coevolution
     "EvolutionFit",
-    "RelationConstant",
     "estimate_evolution",
-    "relation_constant",
-    "check_relation",
     # pathway
     "PathwayClass",
     "classify_pathway",
@@ -115,7 +94,6 @@ __all__ = [
     "SyntheticSpec",
     "SplitMix64",
     "generate_pair",
-    "early_phase_pair",
     # report
     "PlotData",
     "run_pipeline",

@@ -100,7 +100,9 @@ def _check_files(reads: dict[str, str], writes: dict[str, str], made: str | None
     is not a directory, an output that is a directory, is ``made`` or lies
     in a missing one but ``made``, then a file named twice but not only by
     inputs.  A directory is known by the device and inode of its path as
-    given, or while it is missing by its absolute path."""
+    given, or while it is missing by its absolute path.  An existing file
+    is known by its device and inode, so a link to it names it; a missing
+    one by its directory and name, a symlink's resolved first."""
     top = made
     while top and not os.path.lexists(top):
         top = os.path.dirname(top)
@@ -117,12 +119,17 @@ def _check_files(reads: dict[str, str], writes: dict[str, str], made: str | None
     made_id = made and dir_id(made)
     seen: dict[tuple, str] = {}
     for option, path in (writes | reads).items():
-        file = dir_id(os.path.dirname(path)), os.path.basename(path)
         if option in writes:
             if not isinstance(itself := dir_id(path), str) or itself == made_id:
                 raise IsADirectoryError(f"the {option} path {path!r} is a directory")
-            if isinstance(file[0], str) and file[0] != made_id:
+            if isinstance(folder := dir_id(os.path.dirname(path)), str) and folder != made_id:
                 raise FileNotFoundError(f"no directory for the {option} file {path!r}")
+        try:
+            st = os.stat(path)
+            file = st.st_dev, st.st_ino
+        except OSError:
+            real = os.path.realpath(path) if os.path.islink(path) else path
+            file = dir_id(os.path.dirname(real)), os.path.basename(real)
         first = seen.setdefault(file, option)
         if first in writes and first != option:
             raise ConfigError(f"{first} and {option} name the same file {path!r}")

@@ -5,11 +5,13 @@ between their odds transforms,
 
     H / (k1 - H) = c1 * (P / (k2 - P)) ** (b1 / b2),
 
-and in the pre-saturation regime that coupling collapses to the power law
-P = A * H**B with B = b2 / b1.  The estimator here works directly on
-observed series: it regresses ln P on ln H by ordinary least squares and
-reports the full single-regressor inference block.  B is the evolutionary
-coefficient: how fast the subsystem advances relative to its host.
+with c1 = exp((b1 / b2) * a2 - a1) from eliminating t between the two
+log-odds lines ln(k - v) - ln v = a - b*t.  In the pre-saturation regime
+that coupling collapses to the power law P = A * H**B with B = b2 / b1.
+The estimator here works directly on observed series: it regresses ln P
+on ln H by ordinary least squares and reports the full single-regressor
+inference block.  B is the evolutionary coefficient: how fast the
+subsystem advances relative to its host.
 
 All logs are natural; B itself is invariant to the base and to positive
 rescaling of either series.
@@ -20,8 +22,6 @@ from __future__ import annotations
 import math
 
 from ._record import Record
-from .errors import ValueAtSaturation
-from .logistic import LogisticParams
 from .series import MIN_POINTS, AlignedPair
 from .stats import _LineFit, _r_squared, _t_ratio, f_sf, t_two_sided_p
 
@@ -89,12 +89,6 @@ class EvolutionFit(Record):
         return self.n - 2
 
 
-class RelationConstant(Record):
-    """Constant c1 and exponent b1/b2 of the odds-coupling identity."""
-
-    __slots__ = ("c1", "exponent")
-
-
 def estimate_evolution(pair: AlignedPair) -> EvolutionFit:
     """Estimate the evolutionary coefficient from an aligned pair.
 
@@ -128,37 +122,3 @@ def estimate_evolution(pair: AlignedPair) -> EvolutionFit:
         see=see,
     )
 
-
-def relation_constant(
-    host_params: LogisticParams, sub_params: LogisticParams
-) -> RelationConstant:
-    """Constant and exponent coupling two logistic technologies.
-
-    Eliminating time between the two linearized curves gives
-    exponent = b1/b2 and c1 = exp((b1/b2) * a2 - a1).
-    """
-    exponent = host_params.b / sub_params.b
-    c1 = math.exp(exponent * sub_params.a - host_params.a)
-    return RelationConstant(c1=c1, exponent=exponent)
-
-
-def check_relation(
-    pair: AlignedPair, rc: RelationConstant, host_k: float, sub_k: float
-) -> float:
-    """Max absolute residual of the odds-coupling identity over the pair.
-
-    On noise-free data generated from the parameters behind ``rc`` the
-    residual is rounding noise; noisy data inflate it smoothly.  Values at
-    or above their saturation level make the odds transform blow up and
-    are rejected.
-    """
-    worst = 0.0
-    for t, h, p in pair.rows:
-        if h >= host_k:
-            raise ValueAtSaturation(f"host value {h!r} >= k={host_k!r} at t={t!r}")
-        if p >= sub_k:
-            raise ValueAtSaturation(f"sub value {p!r} >= k={sub_k!r} at t={t!r}")
-        lhs = h / (host_k - h)
-        rhs = rc.c1 * (p / (sub_k - p)) ** rc.exponent
-        worst = max(worst, abs(lhs - rhs))
-    return worst

@@ -61,20 +61,8 @@ class InsufficientOverlap(AlignmentError):
     """Host and subsystem series share fewer than 3 timestamps."""
 
 
-class LevelOutOfRange(FittingError):
-    """Requested level lies outside the open interval (0, K)."""
-
-
 class NotSShaped(FittingError):
     """The series does not rise, so no positive growth rate fits it."""
-
-
-class ValueAtSaturation(FittingError):
-    """A value meets or exceeds its saturation level K."""
-
-
-class EmptyEarlyPhase(FittingError):
-    """No rows survive the early-phase cap filter."""
 
 
 class DegenerateX(EstimationError):

@@ -19,7 +19,7 @@ import sys
 from operator import mul
 
 from ._record import Record
-from .errors import ConfigError, DegenerateX, FittingError, LevelOutOfRange, NotSShaped
+from .errors import ConfigError, DegenerateX, FittingError, NotSShaped
 from .series import FmtSeries
 from .stats import _LineFit, _r_squared
 
@@ -83,18 +83,6 @@ def logistic_value(params: LogisticParams, t: float) -> float:
         e = math.exp(-x)
         return params.k * e / (1.0 + e)
     return params.k / (1.0 + math.exp(x))
-
-
-def solve_time(params: LogisticParams, level: float) -> float:
-    """Invert the S-curve: the time at which it reaches ``level``.
-
-    t = a/b - (1/b) * log((k - level) / level), defined for 0 < level < k.
-    """
-    if not (0.0 < level < params.k):
-        raise LevelOutOfRange(
-            f"level {level!r} outside (0, {params.k!r})"
-        )
-    return (params.a - math.log((params.k - level) / level)) / params.b
 
 
 def _residuals(ys, taus, c_max, alpha, beta):

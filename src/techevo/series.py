@@ -73,20 +73,6 @@ class FmtSeries(Record):
     def values(self) -> tuple[float, ...]:
         return tuple(v for _, v in self.points)
 
-    @property
-    def max_value(self) -> float:
-        return max(self.values)
-
-    def scaled(self, factor: float, name: str | None = None) -> "FmtSeries":
-        """Return a copy with every value multiplied by ``factor`` > 0."""
-        if factor <= 0.0:
-            raise NonPositiveValue(f"scale factor {factor!r} is not positive")
-        return FmtSeries(
-            name=self.name if name is None else name,
-            points=tuple((t, v * factor) for t, v in self.points),
-            unit=self.unit,
-        )
-
 
 class AlignedPair(Record):
     """A host series H and a subsystem series P joined on shared timestamps.

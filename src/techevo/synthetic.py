@@ -53,7 +53,7 @@ import sys
 from collections.abc import Sequence
 
 from ._record import Record
-from .errors import EmptyEarlyPhase, InputError
+from .errors import InputError
 from .logistic import LogisticParams, logistic_value
 from .series import MIN_POINTS, AlignedPair, FmtSeries
 
@@ -203,35 +203,3 @@ def generate_pair(spec: SyntheticSpec) -> AlignedPair:
         raise ValueError(f"generated {exc}") from exc
     return AlignedPair(host=host, sub=sub)
 
-
-def early_phase_pair(spec: SyntheticSpec, cap_fraction: float) -> AlignedPair:
-    """Noise-free pair truncated to rows where both values are at or below
-    ``cap_fraction`` of their saturation level.
-
-    In this regime both curves are still near-exponential, so the log-log
-    slope of the pair approaches the growth-rate ratio b2/b1.
-    """
-    if spec.noise_sigma != 0.0:
-        raise ValueError("early-phase truncation requires noise_sigma = 0")
-    if not 0.0 < cap_fraction < 1.0:
-        raise ValueError(f"cap_fraction {cap_fraction!r} outside (0, 1)")
-    full = generate_pair(spec)
-    h_cap = cap_fraction * spec.host_params.k
-    p_cap = cap_fraction * spec.sub_params.k
-    rows = tuple((t, h, p) for t, h, p in full.rows if h <= h_cap and p <= p_cap)
-    if len(rows) < MIN_POINTS:
-        raise EmptyEarlyPhase(
-            f"{len(rows)} rows at or below {cap_fraction!r} of saturation; "
-            f"need >= {MIN_POINTS}"
-        )
-    host = FmtSeries(
-        name=full.host.name,
-        points=tuple((t, h) for t, h, _ in rows),
-        unit=full.host.unit,
-    )
-    sub = FmtSeries(
-        name=full.sub.name,
-        points=tuple((t, p) for t, _, p in rows),
-        unit=full.sub.unit,
-    )
-    return AlignedPair(host=host, sub=sub)

@@ -3,7 +3,9 @@
 The oracles here deliberately take different computational routes from the
 package (numpy normal equations vs. scalar centered sums, scipy special
 functions vs. the in-package continued fraction) so agreement is evidence,
-not tautology.
+not tautology.  The closed forms the acceptance criteria check against (the
+S-curve inverse, the odds coupling, the early-phase filter, the rescaling)
+call nothing in the package; ``FmtSeries`` and ``align`` only hold results.
 """
 
 from __future__ import annotations
@@ -28,6 +30,51 @@ def sample_series(
     params: LogisticParams, ts, name: str = "series", unit: str = ""
 ) -> FmtSeries:
     return FmtSeries(name, tuple((t, logistic_value(params, t)) for t in ts), unit)
+
+
+def scaled(series, factor: float) -> FmtSeries:
+    """``series`` with every value multiplied by ``factor``."""
+    return FmtSeries(series.name, tuple((t, v * factor) for t, v in series.points), series.unit)
+
+
+def solve_time(params, level: float) -> float:
+    """The S-curve inverse: the time at which k / (1 + exp(a - b*t)) reaches
+    ``level``, t = (a - ln((k - level) / level)) / b, for 0 < level < k."""
+    assert 0.0 < level < params.k, (level, params.k)
+    return (params.a - math.log((params.k - level) / level)) / params.b
+
+
+def coupling_constant(host, sub) -> tuple[float, float]:
+    """(c1, b1 / b2) of the odds-coupling identity of two logistic curves
+    with parameters ``host`` and ``sub``,
+
+        H / (k1 - H) = c1 * (P / (k2 - P)) ** (b1 / b2),
+        c1 = exp((b1 / b2) * a2 - a1),
+
+    which follows from eliminating t between their log-odds lines."""
+    exponent = host.b / sub.b
+    return math.exp(exponent * sub.a - host.a), exponent
+
+
+def coupling_residual(pair, host, sub) -> float:
+    """Max absolute residual over ``pair`` of the identity of
+    ``coupling_constant``."""
+    c1, exponent = coupling_constant(host, sub)
+    worst = 0.0
+    for _, h, p in pair.rows:
+        assert h < host.k and p < sub.k, "a value at or above its saturation level"
+        worst = max(worst, abs(h / (host.k - h) - c1 * (p / (sub.k - p)) ** exponent))
+    return worst
+
+
+def early_phase(pair, host_k: float, sub_k: float, cap: float):
+    """The rows of ``pair`` where both values are at or below ``cap`` of
+    their saturation levels, as a pair."""
+    rows = [(t, h, p) for t, h, p in pair.rows if h <= cap * host_k and p <= cap * sub_k]
+    return align(
+        FmtSeries(pair.host.name, tuple((t, h) for t, h, _ in rows), pair.host.unit),
+        FmtSeries(pair.sub.name, tuple((t, p) for t, _, p in rows), pair.sub.unit),
+    )
 
 
 def log_pair(x, y):

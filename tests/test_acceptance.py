@@ -4,7 +4,8 @@ PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 Every tolerance is fixed here, not calibrated.  Oracles are independent
 of the code paths they check: numpy normal equations for the regression,
 closed-form curve evaluation for the fits, the pinned seeded generator
-for reproducibility.
+for reproducibility.  The curve inverse, the odds coupling, the
+early-phase filter and the rescaling are conftest's own closed forms.
 """
 
 from __future__ import annotations
@@ -14,7 +15,18 @@ import math
 import re
 import time
 
-from conftest import FIXTURES, log_pair, ols_normal_equations, pair_logs, rel_err, sample_series
+from conftest import (
+    FIXTURES,
+    coupling_residual,
+    early_phase,
+    log_pair,
+    ols_normal_equations,
+    pair_logs,
+    rel_err,
+    sample_series,
+    scaled,
+    solve_time,
+)
 from techevo import (
     EvolutionFit,
     FmtSeries,
@@ -22,17 +34,13 @@ from techevo import (
     SplitMix64,
     SyntheticSpec,
     align,
-    check_relation,
     classify_pathway,
-    early_phase_pair,
     emit_table,
     estimate_evolution,
     fit_logistic,
     generate_pair,
     logistic_value,
     parse_fmt_csv,
-    relation_constant,
-    solve_time,
     t_quantile,
 )
 from techevo.cli import EXIT_OK, main
@@ -146,8 +154,7 @@ def test_criterion_4_coupling_identity():
             host_params=hp, sub_params=sp, t_start=t_lo, t_end=t_hi, n_points=20
         )
         pair = generate_pair(spec)
-        rc = relation_constant(hp, sp)
-        residual = check_relation(pair, rc, hp.k, sp.k)
+        residual = coupling_residual(pair, hp, sp)
         scale = max(h / (hp.k - h) for h in pair.host_values)
         worst_ratio = max(worst_ratio, residual / (1e-9 * scale))
     _verdict(
@@ -177,7 +184,7 @@ def test_criterion_5_early_phase_consistency():
         spec = SyntheticSpec(
             host_params=hp, sub_params=sp, t_start=t_lo, t_end=t_cap, n_points=40
         )
-        fit = estimate_evolution(early_phase_pair(spec, cap))
+        fit = estimate_evolution(early_phase(generate_pair(spec), hp.k, sp.k, cap))
         worst = max(worst, rel_err(fit.b, b2 / b1))
     _verdict(
         5,
@@ -216,8 +223,8 @@ def test_criterion_7_scale_invariance():
     ok = True
     for c in (1e-3, 7.0, 1e3):
         for scaled_pair in (
-            align(host.scaled(c), sub),
-            align(host, sub.scaled(c)),
+            align(scaled(host, c), sub),
+            align(host, scaled(sub, c)),
         ):
             fit = estimate_evolution(scaled_pair)
             worst = max(worst, abs(fit.b - base_fit.b))

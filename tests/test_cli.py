@@ -471,9 +471,9 @@ class TestExitCodes:
             assert message in capsys.readouterr().err
 
 
-def _symlink_or_skip(target, link):
+def _symlink_or_skip(target, link, directory=True):
     try:
-        os.symlink(target, link, target_is_directory=True)
+        os.symlink(target, link, target_is_directory=directory)
     except OSError as exc:  # e.g. no symlink privilege on Windows
         pytest.skip(f"cannot make a symlink: {exc}")
 
@@ -530,6 +530,32 @@ class TestFileChecks:
         assert main([*evolve, "--host", "h.csv"]) == EXIT_OK
         assert json.loads((tmp_path / "a" / "h.csv").read_text())["schema_version"] == 2
         assert (tmp_path / "h.csv").read_bytes() == before["h.csv"]
+
+    @pytest.mark.parametrize("link", ["symlink", "hard link"])
+    def test_a_link_to_an_input_names_it(self, tmp_path, capsys, monkeypatch, link):
+        monkeypatch.chdir(tmp_path)
+        for name, fixture in zip(("host.csv", "sub.csv"), SYNTH):
+            (tmp_path / name).write_bytes(Path(fixture).read_bytes())
+        if link == "symlink":
+            _symlink_or_skip("host.csv", "linked.csv", directory=False)
+        else:
+            try:
+                os.link("sub.csv", "linked.csv")
+            except OSError as exc:  # e.g. a file system without hard links
+                pytest.skip(f"cannot make a hard link: {exc}")
+        before = _tree(tmp_path)
+        args = ["evolve", "--host", "host.csv", "--sub", "sub.csv", "--out", "linked.csv"]
+        assert main(args) == EXIT_CONFIG
+        assert _tree(tmp_path) == before
+        assert "name the same file" in capsys.readouterr().err
+
+    def test_outputs_linked_to_one_missing_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _symlink_or_skip("a.csv", "al.csv", directory=False)
+        args = ["simulate", "--out-host", "a.csv", "--out-sub", "al.csv"]
+        assert main(args) == EXIT_CONFIG
+        assert _tree(tmp_path) == {} and os.listdir(tmp_path) == ["al.csv"]
+        assert "--out-host and --out-sub name the same file" in capsys.readouterr().err
 
     def test_plot_file_that_is_a_directory_writes_no_plot(self, tmp_path, capsys):
         plots = tmp_path / "plots"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import rel_err, sample_series
+from conftest import coupling_constant, coupling_residual, rel_err, sample_series, scaled, solve_time
 from techevo import (
     EvolutionFit,
     FmtSeries,
@@ -12,15 +12,12 @@ from techevo import (
     SplitMix64,
     SyntheticSpec,
     align,
-    check_relation,
     estimate_evolution,
     generate_pair,
     logistic_value,
-    relation_constant,
-    solve_time,
     t_quantile,
 )
-from techevo.errors import DegenerateX, ValueAtSaturation
+from techevo.errors import DegenerateX
 
 
 def pair_from_values(h_values, p_values):
@@ -89,11 +86,11 @@ class TestEstimateEvolution:
         pair = pair_from_values([1.0, 3.0, 7.0, 20.0, 55.0], [2.0, 3.1, 4.4, 7.9, 11.0])
         base = estimate_evolution(pair)
         for c in (1e-3, 7.0, 1e3):
-            host_scaled = align(pair.host.scaled(c), pair.sub)
+            host_scaled = align(scaled(pair.host, c), pair.sub)
             fit = estimate_evolution(host_scaled)
             assert abs(fit.b - base.b) < 1e-10
             assert abs(fit.log_a - (base.log_a - base.b * math.log(c))) < 1e-9
-            sub_scaled = align(pair.host, pair.sub.scaled(c))
+            sub_scaled = align(pair.host, scaled(pair.sub, c))
             fit2 = estimate_evolution(sub_scaled)
             assert abs(fit2.b - base.b) < 1e-10
             assert abs(fit2.log_a - (base.log_a + math.log(c))) < 1e-9
@@ -110,16 +107,18 @@ class TestEstimateEvolution:
 
 
 class TestRelationConstant:
+    """conftest's odds-coupling constant, held against the package's curves."""
+
     def test_identical_params(self):
         p = LogisticParams(1.5, 0.7, 40)
-        rc = relation_constant(p, p)
-        assert rc.exponent == pytest.approx(1.0)
-        assert rc.c1 == pytest.approx(1.0)
+        c1, exponent = coupling_constant(p, p)
+        assert exponent == pytest.approx(1.0)
+        assert c1 == pytest.approx(1.0)
 
     def test_zero_intercepts(self):
-        rc = relation_constant(LogisticParams(0, 2, 10), LogisticParams(0, 1, 20))
-        assert rc.exponent == pytest.approx(2.0)
-        assert rc.c1 == pytest.approx(1.0)
+        c1, exponent = coupling_constant(LogisticParams(0, 2, 10), LogisticParams(0, 1, 20))
+        assert exponent == pytest.approx(2.0)
+        assert c1 == pytest.approx(1.0)
 
     def test_closed_form_against_brute_force(self):
         # 50 random parameter draws, 20 time points each: the constant
@@ -128,7 +127,7 @@ class TestRelationConstant:
         for _ in range(50):
             hp = LogisticParams(6 * rng.uniform(), 0.2 + 1.8 * rng.uniform(), 10 + 490 * rng.uniform())
             sp = LogisticParams(6 * rng.uniform(), 0.2 + 1.8 * rng.uniform(), 10 + 490 * rng.uniform())
-            rc = relation_constant(hp, sp)
+            c1, exponent = coupling_constant(hp, sp)
             t_mid = 0.5 * (hp.inflection_time + sp.inflection_time)
             half_width = min(4.5 / hp.b, 4.5 / sp.b)
             worst_rel = 0.0
@@ -137,12 +136,14 @@ class TestRelationConstant:
                 h = logistic_value(hp, t)
                 p = logistic_value(sp, t)
                 lhs = h / (hp.k - h)
-                rhs = rc.c1 * (p / (sp.k - p)) ** rc.exponent
+                rhs = c1 * (p / (sp.k - p)) ** exponent
                 worst_rel = max(worst_rel, abs(lhs - rhs) / abs(lhs))
             assert worst_rel < 1e-10
 
 
 class TestCheckRelation:
+    """The coupling residual on exact and perturbed sampled pairs."""
+
     def _exact_pair(self, hp, sp, n=20):
         t_mid = 0.5 * (hp.inflection_time + sp.inflection_time)
         half = min(4.5 / hp.b, 4.5 / sp.b)
@@ -155,8 +156,7 @@ class TestCheckRelation:
         hp = LogisticParams(2, 0.5, 120)
         sp = LogisticParams(1, 0.8, 60)
         pair = self._exact_pair(hp, sp)
-        rc = relation_constant(hp, sp)
-        residual = check_relation(pair, rc, hp.k, sp.k)
+        residual = coupling_residual(pair, hp, sp)
         scale = max(h / (hp.k - h) for h in pair.host_values)
         assert residual < 1e-9 * scale
 
@@ -164,19 +164,9 @@ class TestCheckRelation:
         hp = LogisticParams(2, 0.5, 120)
         sp = LogisticParams(1, 0.8, 60)
         pair = self._exact_pair(hp, sp)
-        noisy_sub = pair.sub.scaled(0.99)
-        noisy = align(pair.host, noisy_sub)
-        rc = relation_constant(hp, sp)
-        residual = check_relation(noisy, rc, hp.k, sp.k)
+        noisy = align(pair.host, scaled(pair.sub, 0.99))
+        residual = coupling_residual(noisy, hp, sp)
         assert residual > 0.0
-
-    def test_value_at_saturation(self):
-        pair = pair_from_values([1, 2, 3], [4, 5, 6])
-        rc = relation_constant(LogisticParams(0, 1, 10), LogisticParams(0, 1, 10))
-        with pytest.raises(ValueAtSaturation):
-            check_relation(pair, rc, 10.0, 6.0)
-        with pytest.raises(ValueAtSaturation):
-            check_relation(pair, rc, 3.0, 10.0)
 
 
 class TestSummaryFit:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, rel_err, sample_series
+from conftest import FIXTURES, rel_err, sample_series, solve_time
 from techevo import (
     FmtSeries,
     LogisticParams,
@@ -17,9 +17,8 @@ from techevo import (
     fit_logistic,
     generate_pair,
     logistic_value,
-    solve_time,
 )
-from techevo.errors import ConfigError, FittingError, LevelOutOfRange, NotSShaped
+from techevo.errors import ConfigError, FittingError, NotSShaped
 from techevo import logistic
 
 params_st = st.builds(
@@ -72,17 +71,10 @@ class TestLogisticValue:
 
 
 class TestSolveTime:
+    """``logistic_value`` against conftest's closed-form inverse."""
+
     def test_half_saturation_time(self):
         assert solve_time(LogisticParams(3, 0.6, 40), 20.0) == pytest.approx(5.0)
-
-    def test_level_out_of_range(self):
-        p = LogisticParams(0, 1, 100)
-        with pytest.raises(LevelOutOfRange):
-            solve_time(p, 100.0)
-        with pytest.raises(LevelOutOfRange):
-            solve_time(p, 0.0)
-        with pytest.raises(LevelOutOfRange):
-            solve_time(p, -3.0)
 
     def test_round_trip_seeded_grid(self):
         # 100 random (params, t) draws; both composition orders at 1e-10.
@@ -172,7 +164,7 @@ class TestFitLogistic:
         # k, so a fit must be free to put k below it.
         host = default_pair(21, 0.05, 1).host
         fit = fit_logistic(host)
-        assert fit.params.k < host.max_value
+        assert fit.params.k < max(host.values)
         assert rel_err(fit.params.k, 100.0) < 0.05
         assert not fit.k_at_bound
 
@@ -180,7 +172,7 @@ class TestFitLogistic:
         truth = LogisticParams(8, 0.4, 1000)
         s = sample_series(truth, [float(t) for t in range(8)])
         fit = fit_logistic(s)
-        assert fit.k_at_bound and fit.params.k == 10.0 * s.max_value
+        assert fit.k_at_bound and fit.params.k == 10.0 * max(s.values)
         assert not fit_logistic(s, 1e6).k_at_bound
 
     def test_subnormal_values(self):
@@ -286,7 +278,7 @@ def test_fit_is_in_bounds_or_a_fitting_error(series):
     except FittingError:
         return
     p = fit.params
-    assert math.isfinite(p.a) and p.b > 0.0 and 0.0 < p.k <= series.max_value * 10.0
+    assert math.isfinite(p.a) and p.b > 0.0 and 0.0 < p.k <= max(series.values) * 10.0
     assert math.isfinite(fit.sse_log) and fit.sse_log >= 0.0
     assert fit.sse_evals <= logistic.MAX_EVALS
 
@@ -330,10 +322,10 @@ class TestFitBattery:
         _, outcomes = battery
         checked = beyond = 0
         for (s, truth, sigma), fit in zip(fit_battery.battery_cases(), outcomes):
-            if sigma != 0.0 or not truth.k > s.max_value:
+            if sigma != 0.0 or not truth.k > max(s.values):
                 continue
             checked += 1
-            if truth.k > 10.0 * s.max_value:
+            if truth.k > 10.0 * max(s.values):
                 beyond += 1
                 assert fit.k_at_bound
                 fit = fit_logistic(s, 20.0)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sample_series
+from conftest import sample_series, scaled
 from techevo import (
     EvolutionFit,
     FmtSeries,
@@ -18,7 +18,6 @@ from techevo import (
     estimate_evolution,
     fit_logistic,
     parse_fmt_csv,
-    relation_constant,
     serialize_fmt_csv,
 )
 from techevo._record import Record
@@ -114,7 +113,7 @@ class TestSeriesInvariants:
             params = LogisticParams(4.0, 0.3, 100.0)
             host = sample_series(params, range(0, 41, 2), "host")
             sub = make_series([0, 1, 2, 3], [1, 2, 4, 9], "sub")
-            pair = align(host, host.scaled(2.0, "double"))
+            pair = align(host, scaled(host, 2.0))
             evolution = estimate_evolution(pair)
             return [
                 host,
@@ -122,7 +121,6 @@ class TestSeriesInvariants:
                 params,
                 fit_logistic(host),
                 evolution,
-                relation_constant(params, LogisticParams(3.0, 0.2, 50.0)),
                 classify_pathway(evolution),
                 emit_plot_data(sub, params),
                 SyntheticSpec(params, params, 0.0, 40.0, 21),
@@ -140,7 +138,7 @@ class TestSeriesInvariants:
                 with pytest.raises(AttributeError):
                     delattr(a, name)
             assert a == b  # the refused assignments changed nothing
-        assert firsts[0] != firsts[0].scaled(1.0, "other")
+        assert firsts[0] != FmtSeries("other", firsts[0].points)
 
         # synthetic._noisy_values prints a LogisticParams in its error message.
         assert repr(firsts[2]) == "LogisticParams(a=4.0, b=0.3, k=100.0)"
@@ -181,12 +179,6 @@ class TestSeriesInvariants:
             LogisticParams(4.0, 0.3)
         spec = SyntheticSpec(params, params, 0.0, 40.0, 21)
         assert spec.noise_sigma == 0.0 and spec.seed == 0
-
-    def test_scaled(self):
-        s = make_series([0, 1, 2], [1, 2, 3])
-        assert s.scaled(2.0).values == (2.0, 4.0, 6.0)
-        with pytest.raises(NonPositiveValue):
-            s.scaled(0.0)
 
 
 class TestRoundTrip:

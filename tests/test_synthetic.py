@@ -3,23 +3,18 @@ import math
 
 import pytest
 
-from conftest import rel_err
+from conftest import coupling_residual, early_phase, rel_err, solve_time
 from techevo import (
     LogisticParams,
     SplitMix64,
     SyntheticSpec,
-    check_relation,
-    early_phase_pair,
     estimate_evolution,
     fit_logistic,
     generate_pair,
     logistic_value,
-    relation_constant,
     serialize_fmt_csv,
-    solve_time,
 )
 from techevo.cli import EXIT_OK, main
-from techevo.errors import EmptyEarlyPhase
 from techevo.synthetic import _MAX_POINTS
 
 HOST = LogisticParams(a=4.0, b=0.3, k=100.0)
@@ -143,8 +138,7 @@ class TestGeneratePair:
 
     def test_noise_free_relation_identity(self):
         pair = generate_pair(spec())
-        rc = relation_constant(HOST, SUB)
-        residual = check_relation(pair, rc, HOST.k, SUB.k)
+        residual = coupling_residual(pair, HOST, SUB)
         scale = max(h / (HOST.k - h) for h in pair.host_values)
         assert residual < 1e-9 * scale
 
@@ -187,27 +181,13 @@ class TestEarlyPhase:
 
     def test_slope_matches_rate_ratio(self):
         s = self._aligned_spec(0.5, 0.4)
-        pair = early_phase_pair(s, 0.05)
+        pair = early_phase(generate_pair(s), s.host_params.k, s.sub_params.k, 0.05)
         fit = estimate_evolution(pair)
         assert rel_err(fit.b, 0.4 / 0.5) < 0.02
 
-    def test_empty_when_cap_tiny(self):
-        with pytest.raises(EmptyEarlyPhase):
-            early_phase_pair(spec(), 1e-6)
-
-    def test_requires_noise_free(self):
-        with pytest.raises(ValueError):
-            early_phase_pair(spec(noise_sigma=0.1), 0.05)
-
-    def test_cap_fraction_domain(self):
-        with pytest.raises(ValueError):
-            early_phase_pair(spec(), 0.0)
-        with pytest.raises(ValueError):
-            early_phase_pair(spec(), 1.0)
-
     def test_rows_respect_cap(self):
         s = self._aligned_spec(0.5, 0.4)
-        pair = early_phase_pair(s, 0.05)
+        pair = early_phase(generate_pair(s), s.host_params.k, s.sub_params.k, 0.05)
         assert all(h <= 0.05 * 100.0 for h in pair.host_values)
         assert all(p <= 0.05 * 70.0 for p in pair.sub_values)
 
@@ -221,6 +201,6 @@ class TestEarlyPhase:
         s = SyntheticSpec(
             host_params=hp, sub_params=sp, t_start=t_lo, t_end=t_hi, n_points=60
         )
-        pair = early_phase_pair(s, 0.9995)
+        pair = early_phase(generate_pair(s), hp.k, sp.k, 0.9995)
         fit = estimate_evolution(pair)
         assert rel_err(fit.b, sp.b / hp.b) > 0.02
