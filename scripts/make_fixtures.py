@@ -37,8 +37,8 @@ NOISE_SIGMA = 0.05
 
 def power_pair() -> tuple[FmtSeries, FmtSeries]:
     ts = [float(i) for i in range(5)]
-    host = FmtSeries("power_host", tuple((t, (t + 1.0) ** 2) for t in ts))
-    sub = FmtSeries("power_sub", tuple((t, 2.0 * (t + 1.0)) for t in ts))
+    host = FmtSeries("power_host", ts, [(t + 1.0) ** 2 for t in ts])
+    sub = FmtSeries("power_sub", ts, [2.0 * (t + 1.0) for t in ts])
     return host, sub
 
 
@@ -51,8 +51,8 @@ def synth_pair() -> tuple[FmtSeries, FmtSeries]:
     sub_vals = [
         TRUE_A * h**TRUE_B * math.exp(NOISE_SIGMA * rng.normal()) for h in host_vals
     ]
-    host = FmtSeries("synth_host", tuple(zip(ts, host_vals)))
-    sub = FmtSeries("synth_sub", tuple(zip(ts, sub_vals)))
+    host = FmtSeries("synth_host", ts, host_vals)
+    sub = FmtSeries("synth_sub", ts, sub_vals)
     return host, sub
 
 

@@ -99,10 +99,11 @@ def _check_files(reads: dict[str, str], writes: dict[str, str], made: str | None
     """Refuse a ``made`` (the directory the command makes) under a path that
     is not a directory, an output that is a directory, is ``made`` or lies
     in a missing one but ``made``, then a file named twice but not only by
-    inputs.  A directory is known by the device and inode of its path as
-    given, or while it is missing by its absolute path.  An existing file
-    is known by its device and inode, so a link to it names it; a missing
-    one by its directory and name, a symlink's resolved first."""
+    inputs; a symlink's resolved path stands for the path.  A directory is
+    known by its device and inode, or while it is missing by its resolved
+    path (so ``link/..`` is where the system leads); a file by its device
+    and inode, so a link to it names it, or while it is missing by its
+    directory and name."""
     top = made
     while top and not os.path.lexists(top):
         top = os.path.dirname(top)
@@ -113,22 +114,22 @@ def _check_files(reads: dict[str, str], writes: dict[str, str], made: str | None
     def dir_id(path: str) -> tuple[int, int] | str:
         if path not in ids:
             st = os.stat(path or ".") if os.path.isdir(path or ".") else None
-            ids[path] = (st.st_dev, st.st_ino) if st else os.path.abspath(path)
+            ids[path] = (st.st_dev, st.st_ino) if st else os.path.realpath(path)
         return ids[path]
 
     made_id = made and dir_id(made)
     seen: dict[tuple, str] = {}
     for option, path in (writes | reads).items():
+        real = os.path.realpath(path) if os.path.islink(path) else path
         if option in writes:
-            if not isinstance(itself := dir_id(path), str) or itself == made_id:
+            if os.path.isdir(path or ".") or isinstance(made_id, str) and dir_id(path) == made_id:
                 raise IsADirectoryError(f"the {option} path {path!r} is a directory")
-            if isinstance(folder := dir_id(os.path.dirname(path)), str) and folder != made_id:
+            if isinstance(folder := dir_id(os.path.dirname(real)), str) and folder != made_id:
                 raise FileNotFoundError(f"no directory for the {option} file {path!r}")
         try:
             st = os.stat(path)
             file = st.st_dev, st.st_ino
         except OSError:
-            real = os.path.realpath(path) if os.path.islink(path) else path
             file = dir_id(os.path.dirname(real)), os.path.basename(real)
         first = seen.setdefault(file, option)
         if first in writes and first != option:

@@ -105,8 +105,8 @@ def run_pipeline(
             "n_host": len(host),
             "n_sub": len(sub),
             "n_aligned": len(pair),
-            "t_min": pair.rows[0][0],
-            "t_max": pair.rows[-1][0],
+            "t_min": pair.ts[0],
+            "t_max": pair.ts[-1],
         },
         "logistic_fits": fits,
         "evolution": evolution._asdict(),
@@ -269,8 +269,7 @@ def emit_plot_data(series: FmtSeries, params: LogisticParams | None = None) -> P
 
     Output is byte-deterministic: same series and parameters, same bytes.
     """
-    ts = series.ts
-    obs = series.values
+    ts, obs = series.ts, series.values
     if params is None:
         csv_text = "t,observed\n" + "".join([f"{t!r},{v!r}\n" for t, v in zip(ts, obs)])
         y_high = max(obs)

@@ -13,6 +13,8 @@ line, LF or CRLF endings, dot decimal separator, no thousands separators.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
+from itertools import compress
 
 from ._record import Record
 from .errors import (
@@ -30,84 +32,74 @@ CSV_HEADER = "t,value"
 
 
 class FmtSeries(Record):
-    """One technology's FMT trace.
+    """One technology's FMT trace, stored as two columns.
 
-    Points are (t, value) pairs, strictly increasing in t, every value
-    positive.  Construction sorts the points and is the one place a series
-    is validated: finite positive values, then unique timestamps, then at
-    least ``MIN_POINTS`` points.  Instances are immutable and safe to share
-    across tasks.
+    ``ts`` and ``values`` are tuples of floats of equal length, strictly
+    increasing in t, every value positive; ``points`` pairs them up.
+    Construction floats both columns, sorts them together by t (stably)
+    and is the one place a series is validated: finite positive values,
+    then unique timestamps, then at least ``MIN_POINTS`` points.
+    Instances are immutable and safe to share across tasks.
     """
 
-    __slots__ = ("name", "points", "unit")
+    __slots__ = ("name", "ts", "values", "unit")
 
     def __init__(
-        self, name: str, points: tuple[tuple[float, float], ...], unit: str = ""
+        self, name: str, ts: Iterable[float], values: Iterable[float], unit: str = ""
     ) -> None:
-        pts = tuple((float(t), float(v)) for t, v in points)
-        pts = tuple(sorted(pts, key=lambda p: p[0]))
-        for t, v in pts:
+        ts, values = list(map(float, ts)), list(map(float, values))
+        if len(ts) != len(values):
+            raise ValueError(f"series {name!r}: {len(ts)} times but {len(values)} values")
+        order = sorted(range(len(ts)), key=ts.__getitem__)
+        ts = tuple(map(ts.__getitem__, order))
+        values = tuple(map(values.__getitem__, order))
+        for t, v in zip(ts, values):
             if not (math.isfinite(t) and math.isfinite(v)):
                 raise NonPositiveValue(f"series {name!r}: non-finite point ({t!r}, {v!r})")
             if v <= 0.0:
                 raise NonPositiveValue(
                     f"series {name!r}: value {v!r} at t={t!r} is not positive"
                 )
-        for (t0, _), (t1, _) in zip(pts, pts[1:]):
+        for t0, t1 in zip(ts, ts[1:]):
             if t0 == t1:
                 raise DuplicateTimestamp(f"series {name!r}: duplicate timestamp t={t0!r}")
-        if len(pts) < MIN_POINTS:
-            raise TooFewPoints(
-                f"series {name!r} has {len(pts)} points; need >= {MIN_POINTS}"
-            )
-        super().__init__(name, pts, unit)
+        if len(ts) < MIN_POINTS:
+            raise TooFewPoints(f"series {name!r} has {len(ts)} points; need >= {MIN_POINTS}")
+        super().__init__(name, ts, values, unit)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.ts)
 
     @property
-    def ts(self) -> tuple[float, ...]:
-        return tuple(t for t, _ in self.points)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.points)
+    def points(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.ts, self.values))
 
 
 class AlignedPair(Record):
     """A host series H and a subsystem series P joined on shared timestamps.
 
-    ``rows`` is derived, not passed: it holds (t, h_value, p_value) for
-    exactly the timestamps present in both inputs with bit-identical float
-    value, in increasing t order.  No interpolation.
+    ``ts``, ``host_values`` and ``sub_values`` are derived, not passed: the
+    timestamps present in both inputs with bit-identical float value, in
+    increasing t order, and the host's and the sub's values at them.  No
+    interpolation.
     """
 
-    __slots__ = ("host", "sub", "rows")
+    __slots__ = ("host", "sub", "ts", "host_values", "sub_values")
 
     def __init__(self, host: FmtSeries, sub: FmtSeries) -> None:
-        sub_by_t = dict(sub.points)
-        rows = tuple((t, h, sub_by_t[t]) for t, h in host.points if t in sub_by_t)
-        if len(rows) < MIN_POINTS:
+        sub_by_t = dict(zip(sub.ts, sub.values))
+        shared = [t in sub_by_t for t in host.ts]
+        ts = tuple(compress(host.ts, shared))
+        if len(ts) < MIN_POINTS:
             raise InsufficientOverlap(
-                f"{len(rows)} common timestamps between {host.name!r} "
+                f"{len(ts)} common timestamps between {host.name!r} "
                 f"and {sub.name!r}; need >= {MIN_POINTS}"
             )
-        super().__init__(host, sub, rows)
+        host_values = tuple(compress(host.values, shared))
+        super().__init__(host, sub, ts, host_values, tuple(map(sub_by_t.__getitem__, ts)))
 
     def __len__(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ts(self) -> tuple[float, ...]:
-        return tuple(t for t, _, _ in self.rows)
-
-    @property
-    def host_values(self) -> tuple[float, ...]:
-        return tuple(h for _, h, _ in self.rows)
-
-    @property
-    def sub_values(self) -> tuple[float, ...]:
-        return tuple(p for _, _, p in self.rows)
+        return len(self.ts)
 
 
 def parse_fmt_csv(raw_text: str, series_name: str, unit: str = "") -> FmtSeries:
@@ -127,7 +119,8 @@ def parse_fmt_csv(raw_text: str, series_name: str, unit: str = "") -> FmtSeries:
     if header != CSV_HEADER:
         raise MalformedRow(f"line 1: expected header {CSV_HEADER!r}, got {header!r}")
 
-    points: list[tuple[float, float]] = []
+    ts: list[float] = []
+    values: list[float] = []
     for lineno, line in enumerate(lines[1:], start=2):
         stripped = line.strip()
         if not stripped:
@@ -144,8 +137,9 @@ def parse_fmt_csv(raw_text: str, series_name: str, unit: str = "") -> FmtSeries:
             raise MalformedRow(f"line {lineno}: {stripped!r} is not a pair of numbers")
         if not (math.isfinite(t) and math.isfinite(v)):
             raise MalformedRow(f"line {lineno}: {stripped!r} contains a non-finite number")
-        points.append((t, v))
-    return FmtSeries(name=series_name, points=tuple(points), unit=unit)
+        ts.append(t)
+        values.append(v)
+    return FmtSeries(series_name, ts, values, unit)
 
 
 def serialize_fmt_csv(series: FmtSeries) -> str:
@@ -155,7 +149,7 @@ def serialize_fmt_csv(series: FmtSeries) -> str:
     ``parse_fmt_csv(serialize_fmt_csv(s), s.name, s.unit) == s`` exactly.
     """
     lines = [CSV_HEADER]
-    lines.extend(f"{t!r},{v!r}" for t, v in series.points)
+    lines.extend(f"{t!r},{v!r}" for t, v in zip(series.ts, series.values))
     return "\n".join(lines) + "\n"
 
 

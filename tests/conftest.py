@@ -11,6 +11,7 @@ call nothing in the package; ``FmtSeries`` and ``align`` only hold results.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -29,12 +30,12 @@ def rel_err(value: float, reference: float) -> float:
 def sample_series(
     params: LogisticParams, ts, name: str = "series", unit: str = ""
 ) -> FmtSeries:
-    return FmtSeries(name, tuple((t, logistic_value(params, t)) for t in ts), unit)
+    return FmtSeries(name, ts, [logistic_value(params, t) for t in ts], unit)
 
 
 def scaled(series, factor: float) -> FmtSeries:
     """``series`` with every value multiplied by ``factor``."""
-    return FmtSeries(series.name, tuple((t, v * factor) for t, v in series.points), series.unit)
+    return FmtSeries(series.name, series.ts, [v * factor for v in series.values], series.unit)
 
 
 def solve_time(params, level: float) -> float:
@@ -61,7 +62,7 @@ def coupling_residual(pair, host, sub) -> float:
     ``coupling_constant``."""
     c1, exponent = coupling_constant(host, sub)
     worst = 0.0
-    for _, h, p in pair.rows:
+    for h, p in zip(pair.host_values, pair.sub_values):
         assert h < host.k and p < sub.k, "a value at or above its saturation level"
         worst = max(worst, abs(h / (host.k - h) - c1 * (p / (sub.k - p)) ** exponent))
     return worst
@@ -70,10 +71,14 @@ def coupling_residual(pair, host, sub) -> float:
 def early_phase(pair, host_k: float, sub_k: float, cap: float):
     """The rows of ``pair`` where both values are at or below ``cap`` of
     their saturation levels, as a pair."""
-    rows = [(t, h, p) for t, h, p in pair.rows if h <= cap * host_k and p <= cap * sub_k]
+    keep = [
+        h <= cap * host_k and p <= cap * sub_k
+        for h, p in zip(pair.host_values, pair.sub_values)
+    ]
+    ts = list(compress(pair.ts, keep))
     return align(
-        FmtSeries(pair.host.name, tuple((t, h) for t, h, _ in rows), pair.host.unit),
-        FmtSeries(pair.sub.name, tuple((t, p) for t, _, p in rows), pair.sub.unit),
+        FmtSeries(pair.host.name, ts, compress(pair.host_values, keep), pair.host.unit),
+        FmtSeries(pair.sub.name, ts, compress(pair.sub_values, keep), pair.sub.unit),
     )
 
 
@@ -84,8 +89,8 @@ def log_pair(x, y):
     ln(exp(v)) can differ from v by an ulp, so an oracle compared with the
     estimate should be given the pair's own logs, ``pair_logs(pair)``.
     """
-    host = FmtSeries("host", tuple((float(i), math.exp(v)) for i, v in enumerate(x)))
-    sub = FmtSeries("sub", tuple((float(i), math.exp(v)) for i, v in enumerate(y)))
+    host = FmtSeries("host", range(len(x)), [math.exp(v) for v in x])
+    sub = FmtSeries("sub", range(len(y)), [math.exp(v) for v in y])
     return align(host, sub)
 
 

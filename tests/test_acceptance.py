@@ -270,8 +270,7 @@ def test_criterion_9_monte_carlo_coverage():
         sub_vals = [
             true_a * h**true_b * math.exp(sigma * rng.normal()) for h in host_vals
         ]
-        pair = align(FmtSeries("host", tuple(zip(ts, host_vals))),
-                     FmtSeries("sub", tuple(zip(ts, sub_vals))))
+        pair = align(FmtSeries("host", ts, host_vals), FmtSeries("sub", ts, sub_vals))
         c = estimate_evolution(pair)
         half = t_quantile(0.995, c.df) * c.se_b
         if c.b - half <= true_b <= c.b + half:

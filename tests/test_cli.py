@@ -557,6 +557,31 @@ class TestFileChecks:
         assert _tree(tmp_path) == {} and os.listdir(tmp_path) == ["al.csv"]
         assert "--out-host and --out-sub name the same file" in capsys.readouterr().err
 
+    def test_output_linked_into_a_missing_directory_writes_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        _symlink_or_skip(os.path.join("missing", "x.csv"), "dl.csv", directory=False)
+        args = ["simulate", "--out-host", "a.csv", "--out-sub", "dl.csv"]
+        assert main(args) == EXIT_INPUT
+        assert os.listdir(tmp_path) == ["dl.csv"]
+        err = capsys.readouterr().err
+        assert err.startswith("FileNotFoundError: no directory for the --out-sub file")
+
+    def test_a_missing_directory_is_where_a_link_leads(self, tmp_path, capsys, monkeypatch):
+        # link/../newp is a/newp, so --out's newp is not the plot directory.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(techevo.cli, "_read_series", _unread)
+        (tmp_path / "a" / "real").mkdir(parents=True)
+        _symlink_or_skip(os.path.join("a", "real"), "link")
+        plot = os.path.join("link", "..", "newp")
+        args = ["report", "--host", SYNTH[0], "--sub", SYNTH[1], "--plot", plot]
+        assert main([*args, "--out", os.path.join("newp", "r.json")]) == EXIT_INPUT
+        assert sorted(os.listdir(tmp_path)) == ["a", "link"]
+        assert os.listdir(tmp_path / "a") == ["real"]
+        err = capsys.readouterr().err
+        assert err.startswith("FileNotFoundError: no directory for the --out file")
+
     def test_plot_file_that_is_a_directory_writes_no_plot(self, tmp_path, capsys):
         plots = tmp_path / "plots"
         (plots / "sub.svg").mkdir(parents=True)

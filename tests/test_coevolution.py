@@ -22,8 +22,8 @@ from techevo.errors import DegenerateX
 
 def pair_from_values(h_values, p_values):
     ts = [float(i) for i in range(len(h_values))]
-    host = FmtSeries("h", tuple(zip(ts, h_values)))
-    sub = FmtSeries("p", tuple(zip(ts, p_values)))
+    host = FmtSeries("h", ts, h_values)
+    sub = FmtSeries("p", ts, p_values)
     return align(host, sub)
 
 

@@ -118,7 +118,7 @@ class TestFitLogistic:
         assert fit.r2_log > 1 - 1e-9
 
     def test_decreasing_series_not_s_shaped(self):
-        s = FmtSeries("down", ((0.0, 9.0), (1.0, 5.0), (2.0, 2.0), (3.0, 1.0)))
+        s = FmtSeries("down", (0.0, 1.0, 2.0, 3.0), (9.0, 5.0, 2.0, 1.0))
         with pytest.raises(NotSShaped):
             fit_logistic(s)
 
@@ -178,13 +178,13 @@ class TestFitLogistic:
     def test_subnormal_values(self):
         u = 5e-324
         # All-subnormal data on the exact curve k = 4u, a = b = ln 3.
-        fit = fit_logistic(FmtSeries("sub", ((0.0, u), (1.0, 2 * u), (2.0, 3 * u))))
+        fit = fit_logistic(FmtSeries("sub", (0.0, 1.0, 2.0), (u, 2 * u, 3 * u)))
         assert fit.params.k == 4 * u and fit.sse_log == 0.0
         assert rel_err(fit.params.b, math.log(3.0)) < 1e-12
         with pytest.raises(NotSShaped):
-            fit_logistic(FmtSeries("flat", ((0.0, u), (1.0, u), (2.0, u))))
+            fit_logistic(FmtSeries("flat", (0.0, 1.0, 2.0), (u, u, u)))
         # In log space a subnormal beside ordinary values is an ordinary point.
-        fit = fit_logistic(FmtSeries("tiny", ((0.0, u), (1.0, 1.0), (2.0, 2.0))))
+        fit = fit_logistic(FmtSeries("tiny", (0.0, 1.0, 2.0), (u, 1.0, 2.0)))
         assert rel_err(fit.params.k, 2.0) < 1e-12
 
     def test_evaluation_cap_raises(self, monkeypatch):
@@ -267,7 +267,7 @@ _values = st.one_of(
 def any_series(draw):
     ts = draw(st.lists(_times, min_size=3, max_size=40, unique=True))
     vs = draw(st.lists(_values, min_size=len(ts), max_size=len(ts)))
-    return FmtSeries("any", tuple(zip(ts, vs)))
+    return FmtSeries("any", ts, vs)
 
 
 @settings(deadline=None, max_examples=150)

@@ -249,12 +249,8 @@ class TestEmitPlotData:
     def test_extreme_time_spans_give_finite_coordinates(self):
         # t1 - t0 overflows here; a subnormal span can round to zero.
         u = 5e-324
-        cases = (
-            ((-1.7e308, 1.0), (0.0, 2.0), (1.7e308, 3.0)),
-            ((3 * u, 1.0), (4 * u, 2.0), (5 * u, 3.0)),
-        )
-        for points in cases:
-            series = FmtSeries("extreme", points)
+        for ts in ((-1.7e308, 0.0, 1.7e308), (3 * u, 4 * u, 5 * u)):
+            series = FmtSeries("extreme", ts, (1.0, 2.0, 3.0))
             svg = emit_plot_data(series, LogisticParams(0, 1e-300, 4)).svg
             assert "nan" not in svg and "inf" not in svg
             assert svg.count("<circle") == 3

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from techevo.errors import (
 
 
 def make_series(ts, vs, name="s"):
-    return FmtSeries(name, tuple(zip(ts, vs)))
+    return FmtSeries(name, ts, vs)
 
 
 class TestParse:
@@ -138,7 +139,7 @@ class TestSeriesInvariants:
                 with pytest.raises(AttributeError):
                     delattr(a, name)
             assert a == b  # the refused assignments changed nothing
-        assert firsts[0] != FmtSeries("other", firsts[0].points)
+        assert firsts[0] != FmtSeries("other", firsts[0].ts, firsts[0].values)
 
         # synthetic._noisy_values prints a LogisticParams in its error message.
         assert repr(firsts[2]) == "LogisticParams(a=4.0, b=0.3, k=100.0)"
@@ -181,6 +182,35 @@ class TestSeriesInvariants:
         assert spec.noise_sigma == 0.0 and spec.seed == 0
 
 
+_time = st.one_of(st.integers(-10**6, 10**6), st.floats(-1e9, 1e9, allow_nan=False))
+_value = st.one_of(
+    st.integers(1, 10**6), st.floats(1e-9, 1e9, allow_nan=False, exclude_min=True)
+)
+
+
+class TestColumns:
+    """A series is stored as its two columns, sorted together by t."""
+
+    @given(st.lists(st.tuples(_time, _value), min_size=3, max_size=30,
+                    unique_by=lambda p: float(p[0])))
+    def test_points_are_the_inputs_sorted_by_t(self, points):
+        ts, vs = [t for t, _ in points], [v for _, v in points]
+        expected = tuple(sorted(zip(map(float, ts), map(float, vs)), key=itemgetter(0)))
+        assert FmtSeries("s", ts, vs).points == expected
+
+    def test_columns_are_stored_not_rebuilt(self):
+        s = make_series([2, 0, 1, 3], [4, 1, 2, 8])
+        assert s.ts is s.ts and s.values is s.values
+        assert s.ts == (0.0, 1.0, 2.0, 3.0) and s.values == (1.0, 2.0, 4.0, 8.0)
+        pair = align(s, make_series([1, 2, 3, 4], [5, 6, 7, 8], "p"))
+        assert pair.ts is pair.ts and pair.host_values is pair.host_values
+        assert pair.sub_values is pair.sub_values
+
+    def test_column_lengths_must_match(self):
+        with pytest.raises(ValueError, match="3 times but 2 values"):
+            FmtSeries("s", [0, 1, 2], [1, 2])
+
+
 class TestRoundTrip:
     def test_identity_basic(self):
         s = make_series([0.0, 1.5, 2.25], [1.0, 0.1, 12.75])
@@ -199,7 +229,7 @@ class TestRoundTrip:
         )
     )
     def test_identity_property(self, points):
-        s = FmtSeries("s", tuple(points))
+        s = FmtSeries("s", [t for t, _ in points], [v for _, v in points])
         assert parse_fmt_csv(serialize_fmt_csv(s), "s") == s
 
 
@@ -209,7 +239,8 @@ class TestAlign:
         sub = make_series([1, 2, 3, 4], [5, 6, 7, 8], "p")
         pair = align(host, sub)
         assert pair.ts == (1.0, 2.0, 3.0)
-        assert pair.rows == ((1.0, 2.0, 5.0), (2.0, 3.0, 6.0), (3.0, 4.0, 7.0))
+        assert pair.host_values == (2.0, 3.0, 4.0)
+        assert pair.sub_values == (5.0, 6.0, 7.0)
 
     def test_identical_grids(self):
         host = make_series([0, 1, 2, 3, 4], [1, 2, 3, 4, 5], "h")
@@ -228,8 +259,9 @@ class TestAlign:
         st.lists(st.integers(0, 30), min_size=3, max_size=20, unique=True),
     )
     def test_symmetric_row_count(self, ts_a, ts_b):
-        a = FmtSeries("a", tuple((float(t), 1.0 + t) for t in sorted(ts_a)))
-        b = FmtSeries("b", tuple((float(t), 2.0 + t) for t in sorted(ts_b)))
+        ts_a, ts_b = sorted(ts_a), sorted(ts_b)
+        a = FmtSeries("a", ts_a, [1.0 + t for t in ts_a])
+        b = FmtSeries("b", ts_b, [2.0 + t for t in ts_b])
         common = set(a.ts) & set(b.ts)
         if len(common) < 3:
             with pytest.raises(InsufficientOverlap):
@@ -252,4 +284,4 @@ class TestAlign:
 
 def test_values_must_be_finite():
     with pytest.raises(NonPositiveValue):
-        FmtSeries("s", ((0.0, 1.0), (1.0, math.inf), (2.0, 3.0)))
+        FmtSeries("s", (0.0, 1.0, 2.0), (1.0, math.inf, 3.0))
