@@ -144,10 +144,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     host = _read_series(args.host)
     sub = _read_series(args.sub)
     factor = None if args.no_logistic else args.k_search_factor
-    report = run_pipeline(
-        host, sub, host_file=os.path.basename(args.host),
-        sub_file=os.path.basename(args.sub), alpha=args.alpha, k_search_factor=factor,
-    )
+    report = run_pipeline(host, sub, alpha=args.alpha, k_search_factor=factor)
     text = report_to_json(report) if args.format == "json" else emit_table(report)
     if args.plot:
         os.makedirs(args.plot, exist_ok=True)

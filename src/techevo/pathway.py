@@ -27,12 +27,13 @@ DEFAULT_ALPHA = 0.01
 
 
 class PathwayClass(Record):
-    """Verdict plus the basis it was decided on.  ``direction`` is "below",
-    "above" or "equal" relative to b = 1.  The fields' order is the key
-    order of the report's ``pathway`` block.
+    """Verdict plus the level it was decided at.  ``direction`` is "below",
+    "above" or "equal" relative to b = 1; the estimate and the p value of
+    the test are the fit's ``b`` and ``p_b_vs_1``.  The fields' order is
+    the key order of the report's ``pathway`` block.
     """
 
-    __slots__ = ("label", "alpha", "b_estimate", "p_b_vs_1", "direction")
+    __slots__ = ("label", "alpha", "direction")
 
 
 def classify_pathway(fit: EvolutionFit, alpha: float = DEFAULT_ALPHA) -> PathwayClass:
@@ -49,10 +50,4 @@ def classify_pathway(fit: EvolutionFit, alpha: float = DEFAULT_ALPHA) -> Pathway
     else:
         label = DEVELOPMENT if p < alpha else INCONCLUSIVE
         direction = "above"
-    return PathwayClass(
-        label=label,
-        alpha=alpha,
-        b_estimate=b,
-        p_b_vs_1=p,
-        direction=direction,
-    )
+    return PathwayClass(label=label, alpha=alpha, direction=direction)

@@ -36,7 +36,7 @@ from .pathway import DEFAULT_ALPHA, classify_pathway
 from .series import FmtSeries, align
 from .stats import _t_ratio, t_two_sided_p
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 TOOL_NAME = "techevo"
 
 #: Significant digits for every float the tool emits.
@@ -62,8 +62,6 @@ def run_pipeline(
     host: FmtSeries,
     sub: FmtSeries,
     *,
-    host_file: str,
-    sub_file: str,
     alpha: float = DEFAULT_ALPHA,
     k_search_factor: float | None = DEFAULT_K_SEARCH_FACTOR,
 ) -> dict:
@@ -73,13 +71,10 @@ def run_pipeline(
     unquantized floats and no ``digest``; ``report_to_json`` adds both.
     ``alpha`` is the level of the pathway test and ``k_search_factor``
     the upper bound on each series' k over its maximum, checked by
-    ``fit_logistic``;
-    None fits no S-curve and leaves ``logistic_fits`` None.  Reads and
-    writes no file.  ``host_file`` and ``sub_file`` are the names the
-    report records for its inputs; pass file names, not paths, so
-    reports and digests stay identical across checkouts and working
-    directories.  Errors from any stage propagate unchanged; the CLI maps
-    them onto its exit-code contract.
+    ``fit_logistic``; None fits no S-curve and leaves ``logistic_fits``
+    None.  Reads and writes no file; the report names its inputs by the
+    series' names.  Errors from any stage propagate unchanged; the CLI
+    maps them onto its exit-code contract.
     """
     pair = align(host, sub)
 
@@ -96,12 +91,8 @@ def run_pipeline(
     return {
         "schema_version": SCHEMA_VERSION,
         "inputs": {
-            "host_file": host_file,
-            "sub_file": sub_file,
             "host_name": host.name,
             "sub_name": sub.name,
-            "host_unit": host.unit,
-            "sub_unit": sub.unit,
             "n_host": len(host),
             "n_sub": len(sub),
             "n_aligned": len(pair),
@@ -117,7 +108,6 @@ def run_pipeline(
             "config": {
                 "alpha": alpha,
                 "k_search_factor": k_search_factor,
-                "with_logistic": k_search_factor is not None,
             },
             "timestamp": _utc_now(),
         },
@@ -242,7 +232,7 @@ def emit_table(report: dict) -> str:
         row(cells),
         "",
         "Significance: * p<0.10, ** p<0.05, *** p<0.01 (two-sided).",
-        f"Pathway: {pw['label']} (B {pw['direction']} 1, {_fmt_p_phrase(pw['p_b_vs_1'])} "
+        f"Pathway: {pw['label']} (B {pw['direction']} 1, {_fmt_p_phrase(ev['p_b_vs_1'])} "
         f"vs B=1 at α={pw['alpha']:g})",
     ]
     return "\n".join(lines) + "\n"

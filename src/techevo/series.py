@@ -42,11 +42,9 @@ class FmtSeries(Record):
     Instances are immutable and safe to share across tasks.
     """
 
-    __slots__ = ("name", "ts", "values", "unit")
+    __slots__ = ("name", "ts", "values")
 
-    def __init__(
-        self, name: str, ts: Iterable[float], values: Iterable[float], unit: str = ""
-    ) -> None:
+    def __init__(self, name: str, ts: Iterable[float], values: Iterable[float]) -> None:
         ts, values = list(map(float, ts)), list(map(float, values))
         if len(ts) != len(values):
             raise ValueError(f"series {name!r}: {len(ts)} times but {len(values)} values")
@@ -65,7 +63,7 @@ class FmtSeries(Record):
                 raise DuplicateTimestamp(f"series {name!r}: duplicate timestamp t={t0!r}")
         if len(ts) < MIN_POINTS:
             raise TooFewPoints(f"series {name!r} has {len(ts)} points; need >= {MIN_POINTS}")
-        super().__init__(name, ts, values, unit)
+        super().__init__(name, ts, values)
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -102,15 +100,16 @@ class AlignedPair(Record):
         return len(self.ts)
 
 
-def parse_fmt_csv(raw_text: str, series_name: str, unit: str = "") -> FmtSeries:
+def parse_fmt_csv(raw_text: str, series_name: str) -> FmtSeries:
     """Parse ``t,value`` CSV text into an FmtSeries, sorted and validated by
     ``FmtSeries``.
 
     Parsing checks only the text itself: the header, the field count and
-    that both fields are finite numbers.  Line numbers in those error
-    messages are 1-based and refer to the raw text.
+    that both fields are finite numbers.  Lines end at LF alone (a CRLF's
+    CR is stripped with the other blanks), so line numbers in those error
+    messages are 1-based and count lines as an editor shows them.
     """
-    lines = raw_text.splitlines()
+    lines = raw_text.split("\n")
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
@@ -139,14 +138,14 @@ def parse_fmt_csv(raw_text: str, series_name: str, unit: str = "") -> FmtSeries:
             raise MalformedRow(f"line {lineno}: {stripped!r} contains a non-finite number")
         ts.append(t)
         values.append(v)
-    return FmtSeries(series_name, ts, values, unit)
+    return FmtSeries(series_name, ts, values)
 
 
 def serialize_fmt_csv(series: FmtSeries) -> str:
     """Render a series back to CSV text.
 
     Floats use Python's shortest round-trip representation, so
-    ``parse_fmt_csv(serialize_fmt_csv(s), s.name, s.unit) == s`` exactly.
+    ``parse_fmt_csv(serialize_fmt_csv(s), s.name) == s`` exactly.
     """
     lines = [CSV_HEADER]
     lines.extend(f"{t!r},{v!r}" for t, v in zip(series.ts, series.values))

@@ -197,8 +197,8 @@ def generate_pair(spec: SyntheticSpec) -> AlignedPair:
     host_vals = _noisy_values(spec.host_params, ts, spec.noise_sigma, rng)
     sub_vals = _noisy_values(spec.sub_params, ts, spec.noise_sigma, rng)
     try:
-        host = FmtSeries("synthetic-host", ts, host_vals, "synthetic")
-        sub = FmtSeries("synthetic-sub", ts, sub_vals, "synthetic")
+        host = FmtSeries("synthetic-host", ts, host_vals)
+        sub = FmtSeries("synthetic-sub", ts, sub_vals)
     except InputError as exc:
         raise ValueError(f"generated {exc}") from exc
     return AlignedPair(host=host, sub=sub)

@@ -27,15 +27,13 @@ def rel_err(value: float, reference: float) -> float:
     return abs(value - reference) / max(abs(value), abs(reference))
 
 
-def sample_series(
-    params: LogisticParams, ts, name: str = "series", unit: str = ""
-) -> FmtSeries:
-    return FmtSeries(name, ts, [logistic_value(params, t) for t in ts], unit)
+def sample_series(params: LogisticParams, ts, name: str = "series") -> FmtSeries:
+    return FmtSeries(name, ts, [logistic_value(params, t) for t in ts])
 
 
 def scaled(series, factor: float) -> FmtSeries:
     """``series`` with every value multiplied by ``factor``."""
-    return FmtSeries(series.name, series.ts, [v * factor for v in series.values], series.unit)
+    return FmtSeries(series.name, series.ts, [v * factor for v in series.values])
 
 
 def solve_time(params, level: float) -> float:
@@ -77,8 +75,8 @@ def early_phase(pair, host_k: float, sub_k: float, cap: float):
     ]
     ts = list(compress(pair.ts, keep))
     return align(
-        FmtSeries(pair.host.name, ts, compress(pair.host_values, keep), pair.host.unit),
-        FmtSeries(pair.sub.name, ts, compress(pair.sub_values, keep), pair.sub.unit),
+        FmtSeries(pair.host.name, ts, compress(pair.host_values, keep)),
+        FmtSeries(pair.sub.name, ts, compress(pair.sub_values, keep)),
     )
 
 

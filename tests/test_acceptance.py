@@ -35,6 +35,7 @@ from techevo import (
     SyntheticSpec,
     align,
     classify_pathway,
+    determinism_digest,
     emit_table,
     estimate_evolution,
     fit_logistic,
@@ -48,10 +49,13 @@ from test_report import stub_report
 
 SYNTH_HOST = FIXTURES / "synth_host.csv"
 SYNTH_SUB = FIXTURES / "synth_sub.csv"
+POWER_HOST = FIXTURES / "power_host.csv"
+POWER_SUB = FIXTURES / "power_sub.csv"
 
-# Digest of the committed synthetic fixtures under the default report
-# config, frozen after one reviewed run.
-GOLDEN_DIGEST = "sha256:173ba36f0e204b8f0c6fa72310b7c1e886fad8dd353888f637ba9c7c0051ac54"
+# Digests of the default report (schema 3) on the committed synthetic and
+# power-law fixtures.
+GOLDEN_DIGEST = "sha256:a2630feec3b86dc457c224c66421c4327a1ca7cd12f15ea2414d367eeb8134bb"
+POWER_DIGEST = "sha256:b38caece01b09382a5d6fdf47e67565d8be1f29fbc2dfcc9bdf8c1ffa3764639"
 
 
 def _verdict(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -257,6 +261,39 @@ def test_criterion_8_report_determinism(tmp_path):
         json_identical and svg_identical and digest == GOLDEN_DIGEST,
         f"digest {digest}",
     )
+
+
+def _default_report(host, sub, tmp_path) -> dict:
+    out = tmp_path / "report.json"
+    assert main(["report", "--host", str(host), "--sub", str(sub), "--out", str(out)]) == EXIT_OK
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def test_power_fixture_report_digest(tmp_path):
+    report = _default_report(POWER_HOST, POWER_SUB, tmp_path)
+    assert report["digest"] == determinism_digest(report) == POWER_DIGEST
+
+
+def test_saved_schema_2_report_renders_alike(tmp_path):
+    # Schema 2 also held the file names, the units (always ""), with_logistic
+    # and the pathway's copies of evolution's b and p_b_vs_1.
+    report = _default_report(SYNTH_HOST, SYNTH_SUB, tmp_path)
+    assert report["digest"] == GOLDEN_DIGEST
+    ev, prov = report["evolution"], report["provenance"]
+    old = {
+        **report,
+        "schema_version": 2,
+        "inputs": {
+            "host_file": "synth_host.csv",
+            "sub_file": "synth_sub.csv",
+            "host_unit": "",
+            "sub_unit": "",
+            **report["inputs"],
+        },
+        "pathway": {**report["pathway"], "b_estimate": ev["b"], "p_b_vs_1": ev["p_b_vs_1"]},
+        "provenance": {**prov, "config": {**prov["config"], "with_logistic": True}},
+    }
+    assert emit_table(old) == emit_table(report)
 
 
 def test_criterion_9_monte_carlo_coverage():

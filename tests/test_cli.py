@@ -118,7 +118,7 @@ class TestHappyPaths:
             ]
         )
         assert code == EXIT_OK
-        assert json.loads(out.read_text())["schema_version"] == 2
+        assert json.loads(out.read_text())["schema_version"] == 3
         names = sorted(p.name for p in plots.iterdir())
         assert names == ["host.csv", "host.svg", "sub.csv", "sub.svg"]
 
@@ -210,7 +210,6 @@ class TestHappyPaths:
         for host, sub in ((f"./d/{name}", name), (f"d/{name}", f"./{name}")):
             assert main(["report", "--host", host, "--sub", sub, "--no-logistic"]) == EXIT_OK
             inputs = json.loads(capsys.readouterr().out)["inputs"]
-            assert inputs["host_file"] == inputs["sub_file"] == name
             assert inputs["host_name"] == inputs["sub_name"] == stem
 
     def test_plot_determinism(self, tmp_path):
@@ -528,7 +527,7 @@ class TestFileChecks:
         assert _tree(tmp_path) == before
         assert capsys.readouterr().err.count("ConfigError: ") == 3
         assert main([*evolve, "--host", "h.csv"]) == EXIT_OK
-        assert json.loads((tmp_path / "a" / "h.csv").read_text())["schema_version"] == 2
+        assert json.loads((tmp_path / "a" / "h.csv").read_text())["schema_version"] == 3
         assert (tmp_path / "h.csv").read_bytes() == before["h.csv"]
 
     @pytest.mark.parametrize("link", ["symlink", "hard link"])
@@ -616,7 +615,7 @@ class TestFileChecks:
         args = ["report", "--host", SYNTH[0], "--sub", SYNTH[1], "--plot", str(plots)]
         assert main([*args, "--out", str(plots / "r.json")]) == EXIT_OK
         assert sorted(p.name for p in plots.iterdir()) == sorted([*PLOT_FILES, "r.json"])
-        assert json.loads((plots / "r.json").read_text())["schema_version"] == 2
+        assert json.loads((plots / "r.json").read_text())["schema_version"] == 3
 
     def test_simulate_empty_output_path_writes_nothing(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -9,6 +9,7 @@ from techevo import (
     PARALLEL,
     UNDERDEVELOPMENT,
     EvolutionFit,
+    PathwayClass,
     classify_pathway,
 )
 from techevo.errors import InvalidAlpha
@@ -24,11 +25,10 @@ class TestClassify:
         # overwhelmingly below 1 at the 1% level.
         fit = summary(0.35, 0.02, 51)
         verdict = classify_pathway(fit, alpha=0.01)
-        assert verdict.label == UNDERDEVELOPMENT
-        assert verdict.direction == "below"
-        assert verdict.b_estimate == 0.35
+        assert verdict == PathwayClass(label=UNDERDEVELOPMENT, alpha=0.01, direction="below")
+        assert fit.b == 0.35
         assert fit.t_b_vs_1 == pytest.approx(-32.5)
-        assert verdict.p_b_vs_1 < 1e-20
+        assert fit.p_b_vs_1 < 1e-20
 
     def test_exact_parallel(self):
         verdict = classify_pathway(summary(1.0, 0.3, 10), alpha=0.05)

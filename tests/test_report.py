@@ -31,25 +31,15 @@ SYNTH_SUB = FIXTURES / "synth_sub.csv"
 
 def run_files(host_csv, sub_csv, **options):
     """The pipeline on two CSV files, read the way the CLI reads them."""
-    return run_pipeline(
-        _read_series(host_csv),
-        _read_series(sub_csv),
-        host_file=Path(host_csv).name,
-        sub_file=Path(sub_csv).name,
-        **options,
-    )
+    return run_pipeline(_read_series(host_csv), _read_series(sub_csv), **options)
 
 
 def stub_report(fit, alpha=0.01):
     return {
-        "schema_version": 2,
+        "schema_version": 3,
         "inputs": {
-            "host_file": "host.csv",
-            "sub_file": "sub.csv",
             "host_name": "host",
             "sub_name": "sub",
-            "host_unit": "",
-            "sub_unit": "",
             "n_host": fit.n,
             "n_sub": fit.n,
             "n_aligned": fit.n,
@@ -81,13 +71,12 @@ class TestRunPipeline:
     def test_no_logistic_config(self):
         report = run_files(POWER_HOST, POWER_SUB, k_search_factor=None)
         assert report["logistic_fits"] is None
-        assert report["provenance"]["config"] == {
-            "alpha": 0.01, "k_search_factor": None, "with_logistic": False,
-        }
+        assert report["provenance"]["config"] == {"alpha": 0.01, "k_search_factor": None}
 
     def test_logistic_fits_present_by_default(self):
         report = run_files(SYNTH_HOST, SYNTH_SUB)
         assert rel_err(report["logistic_fits"]["host"]["k"], 100.0) < 1e-4
+        assert report["provenance"]["config"] == {"alpha": 0.01, "k_search_factor": 10.0}
 
     def test_in_memory_series_touch_no_file(self, monkeypatch):
         def no_io(*args, **kwargs):
@@ -104,11 +93,9 @@ class TestRunPipeline:
             n_points=21,
         )
         pair = generate_pair(spec)
-        report = run_pipeline(
-            pair.host, pair.sub, host_file="h.csv", sub_file="s.csv"
-        )
-        assert report["inputs"]["host_file"] == "h.csv"
-        assert report["inputs"]["sub_file"] == "s.csv"
+        report = run_pipeline(pair.host, pair.sub)
+        assert report["inputs"]["host_name"] == "synthetic-host"
+        assert report["inputs"]["sub_name"] == "synthetic-sub"
         assert report["inputs"]["n_aligned"] == 21
         assert rel_err(report["logistic_fits"]["host"]["k"], 100.0) < 1e-6
         assert report["pathway"]["label"] == "Underdevelopment"
@@ -161,8 +148,7 @@ class TestSerialization:
             "provenance", "digest",
         ]
         assert list(d["inputs"]) == [
-            "host_file", "sub_file", "host_name", "sub_name", "host_unit", "sub_unit",
-            "n_host", "n_sub", "n_aligned", "t_min", "t_max",
+            "host_name", "sub_name", "n_host", "n_sub", "n_aligned", "t_min", "t_max",
         ]
         assert list(d["logistic_fits"]) == ["host", "sub"]
         assert list(d["logistic_fits"]["sub"]) == [
@@ -172,13 +158,9 @@ class TestSerialization:
             "log_a", "a", "b", "se_log_a", "se_b", "t_b", "p_b", "t_b_vs_1",
             "p_b_vs_1", "r2", "r2_adj", "f_stat", "p_f", "see", "n",
         ]
-        assert list(d["pathway"]) == [
-            "label", "alpha", "b_estimate", "p_b_vs_1", "direction",
-        ]
+        assert list(d["pathway"]) == ["label", "alpha", "direction"]
         assert list(d["provenance"]) == ["tool", "version", "config", "timestamp"]
-        assert list(d["provenance"]["config"]) == [
-            "alpha", "k_search_factor", "with_logistic",
-        ]
+        assert list(d["provenance"]["config"]) == ["alpha", "k_search_factor"]
 
 
 class TestEmitTable:

@@ -90,6 +90,25 @@ class TestParse:
         s = parse_fmt_csv("t,value\r\n0,1\r\n1,2\r\n2,4\r\n", "s")
         assert s.ts == (0.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("t,value\n0,1\x0c1,2\n2,3\n", 2),
+            ("t,value\n0,1\x1c\n2,x\n", 3),
+            ("t,value\n0,1\x0b2,3\n1,2\n2,3\n", 2),
+            ("t,value\n0,1\x1d\x1e\n1,2\n2,zap\n", 4),
+            ("t,value\n0,1\x852,3\n1,2\n2,3\n", 2),
+            ("t,value\n0,1\u2028\n1,2\u2029\n2,zap\n", 4),
+            ("t,value\r0,1\r1,2\r2,3\r", 1),
+        ],
+        ids=["FF", "FS", "VT", "GS-RS", "NEL", "LS-PS", "lone-CR"],
+    )
+    def test_only_lf_ends_a_line(self, text, line):
+        # MalformedRow names the line an editor shows: the other characters
+        # str.splitlines breaks at stay inside their line.
+        with pytest.raises(MalformedRow, match=f"line {line}: "):
+            parse_fmt_csv(text, "s")
+
     def test_rows_sorted_by_t(self):
         s = parse_fmt_csv("t,value\n2,4\n0,1\n1,2", "s")
         assert s.ts == (0.0, 1.0, 2.0)
