@@ -28,7 +28,6 @@ from .logistic import LogisticFit, LogisticParams, fit_logistic, logistic_value
 from .pathway import (
     DEVELOPMENT,
     INCONCLUSIVE,
-    LABELS,
     PARALLEL,
     UNDERDEVELOPMENT,
     PathwayClass,
@@ -50,13 +49,7 @@ from .series import (
     parse_fmt_csv,
     serialize_fmt_csv,
 )
-from .stats import (
-    f_sf,
-    regularized_incomplete_beta,
-    t_cdf,
-    t_quantile,
-    t_two_sided_p,
-)
+from .stats import f_sf, t_two_sided_p
 from .synthetic import SplitMix64, SyntheticSpec, generate_pair
 
 __all__ = [
@@ -74,11 +67,8 @@ __all__ = [
     "logistic_value",
     "fit_logistic",
     # stats
-    "t_cdf",
     "t_two_sided_p",
-    "t_quantile",
     "f_sf",
-    "regularized_incomplete_beta",
     # coevolution
     "EvolutionFit",
     "estimate_evolution",
@@ -89,7 +79,6 @@ __all__ = [
     "PARALLEL",
     "DEVELOPMENT",
     "INCONCLUSIVE",
-    "LABELS",
     # synthetic
     "SyntheticSpec",
     "SplitMix64",

@@ -84,10 +84,6 @@ class EvolutionFit(Record):
             r2, r2_adj, f_stat, f_sf(f_stat, 1, n - 2), see, n,
         )
 
-    @property
-    def df(self) -> int:
-        return self.n - 2
-
 
 def estimate_evolution(pair: AlignedPair) -> EvolutionFit:
     """Estimate the evolutionary coefficient from an aligned pair.

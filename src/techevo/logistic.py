@@ -160,7 +160,7 @@ def _descend(ys, taus, c_max, alpha, beta, evals):
     derivs = _derivatives(taus, ws, c, alpha, beta, c < c_max)
     lam = _LAMBDA_START
     while True:
-        damping, rejected = 0.0, False
+        damping = 0.0
         while True:
             step = _newton_step(derivs, damping)
             means = derivs[4]
@@ -169,7 +169,7 @@ def _descend(ys, taus, c_max, alpha, beta, evals):
                 continue
             if step:
                 size = abs(step[0]) + abs(step[1])
-                if rejected and size <= _STEP_TOL:
+                if damping and size <= _STEP_TOL:
                     return alpha, beta, sse, c, evals
                 last = damping == 0.0 and (size <= _STEP_TOL or size <= _NEAR_TOL and (
                     -(derivs[0] * step[0] + derivs[1] * step[1]) <= _REL_DECREASE * sse
@@ -191,7 +191,7 @@ def _descend(ys, taus, c_max, alpha, beta, evals):
                     return alpha, beta, sse, c, evals
             if damping >= _LAMBDA_MAX:
                 return alpha, beta, sse, c, evals
-            damping, rejected = damping * 10.0 if rejected else lam, True
+            damping = damping * 10.0 if damping else lam
         derivs = _derivatives(taus, ws, c, alpha, beta, c < c_max)
         lam = max(damping / 10.0, _LAMBDA_START)
 

@@ -18,8 +18,6 @@ PARALLEL = "Parallel"
 DEVELOPMENT = "Development"
 INCONCLUSIVE = "Inconclusive"
 
-LABELS = (UNDERDEVELOPMENT, PARALLEL, DEVELOPMENT, INCONCLUSIVE)
-
 #: |b - 1| at or below this counts as exactly parallel.
 PARALLEL_TOL = 1e-12
 #: Default significance level of the test of b = 1.

@@ -1,5 +1,6 @@
-"""Numeric kernels: straight-line least squares, and Student-t / F tail
-probabilities via the regularized incomplete beta function.
+"""Numeric kernels: straight-line least squares, and the two-sided
+Student-t and F upper-tail probabilities via the regularized incomplete
+beta function.
 
 ``_LineFit`` is the package's one least-squares line kernel.  It does the
 x-side work once: ``coevolution.estimate_evolution``, the log-log
@@ -15,7 +16,8 @@ platform.  The incomplete beta uses the modified Lentz continued
 fraction, good to better than 10 significant digits for degrees of
 freedom up to 1e6.  Every p value the package reports is an F(1, df)
 upper tail from that one continued fraction: the two-sided Student-t
-tail at t is ``f_sf(t * t, 1, df)``, since T^2 ~ F(1, df).
+tail at t is ``f_sf(t * t, 1, df)``, since T^2 ~ F(1, df).  Nothing the
+package computes needs a CDF or a quantile, so neither is offered.
 """
 
 from __future__ import annotations
@@ -169,15 +171,6 @@ def _incomplete_beta(a: float, b: float, x: float, xc: float) -> float:
     return 1.0 - front * _betacf(b, a, xc) / b
 
 
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("shape parameters must be positive")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x={x!r} outside [0, 1]")
-    return _incomplete_beta(a, b, x, 1.0 - x)
-
-
 def _check_df(df: int) -> int:
     if df != int(df) or df < 1:
         raise ValueError(f"degrees of freedom must be a positive integer, got {df!r}")
@@ -188,14 +181,6 @@ def t_two_sided_p(t: float, df: int) -> float:
     """P(|T| >= |t|) for Student's t with ``df`` degrees of freedom: the
     F(1, df) upper tail at t^2, since T^2 ~ F(1, df)."""
     return f_sf(t * t, 1, df)
-
-
-def t_cdf(t: float, df: int) -> float:
-    """Student-t CDF; symmetric, so t_cdf(-t, df) = 1 - t_cdf(t, df)."""
-    p = t_two_sided_p(abs(t), df)
-    if t >= 0.0:
-        return 1.0 - 0.5 * p
-    return 0.5 * p
 
 
 def f_sf(f: float, df1: int, df2: int) -> float:
@@ -211,28 +196,3 @@ def f_sf(f: float, df1: int, df2: int) -> float:
     z = df1 * f
     return _incomplete_beta(df2 / 2.0, df1 / 2.0, df2 / (df2 + z), z / (df2 + z))
 
-
-def t_quantile(p: float, df: int) -> float:
-    """Inverse Student-t CDF by bisection on t_cdf (monotone, exact sums)."""
-    df = _check_df(df)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"probability {p!r} outside (0, 1)")
-    if p == 0.5:
-        return 0.0
-    if p < 0.5:
-        return -t_quantile(1.0 - p, df)
-    hi = 1.0
-    while t_cdf(hi, df) < p:
-        hi *= 2.0
-        if hi > 1e300:
-            return math.inf
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if t_cdf(mid, df) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

@@ -3,6 +3,7 @@ PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 
 Every tolerance is fixed here, not calibrated.  Oracles are independent
 of the code paths they check: numpy normal equations for the regression,
+scipy's Student-t quantile for the coverage intervals,
 closed-form curve evaluation for the fits, the pinned seeded generator
 for reproducibility.  The curve inverse, the odds coupling, the
 early-phase filter and the rescaling are conftest's own closed forms.
@@ -14,6 +15,8 @@ import json
 import math
 import re
 import time
+
+from scipy import stats as sp_stats
 
 from conftest import (
     FIXTURES,
@@ -42,7 +45,6 @@ from techevo import (
     generate_pair,
     logistic_value,
     parse_fmt_csv,
-    t_quantile,
 )
 from techevo.cli import EXIT_OK, main
 from test_report import stub_report
@@ -309,7 +311,7 @@ def test_criterion_9_monte_carlo_coverage():
         ]
         pair = align(FmtSeries("host", ts, host_vals), FmtSeries("sub", ts, sub_vals))
         c = estimate_evolution(pair)
-        half = t_quantile(0.995, c.df) * c.se_b
+        half = sp_stats.t.ppf(0.995, c.n - 2) * c.se_b
         if c.b - half <= true_b <= c.b + half:
             hits += 1
     _verdict(

@@ -91,6 +91,14 @@ class TestHappyPaths:
         # .12g rounds the recovered parameters to the generating ones.
         assert [line.split()[1] for line in lines[1:4]] == ["4", "0.3", "100"]
 
+    def test_fit_name(self, capsys):
+        assert main(["fit", SYNTH[0], "--name", "lamps"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["series"] == {"name": "lamps", "n": 26}
+
+    def test_fit_name_table(self, capsys):
+        assert main(["fit", SYNTH[0], "--name", "lamps", "--format", "table"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == "series: lamps (n=26)"
+
     def test_simulate_then_report(self, tmp_path, capsys):
         host = str(tmp_path / "h.csv")
         sub = str(tmp_path / "s.csv")

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import stats as sp_stats
 
 from conftest import coupling_constant, coupling_residual, rel_err, sample_series, scaled, solve_time
 from techevo import (
@@ -15,7 +16,6 @@ from techevo import (
     estimate_evolution,
     generate_pair,
     logistic_value,
-    t_quantile,
 )
 from techevo.errors import DegenerateX
 
@@ -77,7 +77,7 @@ class TestEstimateEvolution:
             fit = estimate_evolution(
                 pair_from_values(host_vals, sub_vals)
             )
-            half = t_quantile(0.995, fit.n - 2) * fit.se_b
+            half = sp_stats.t.ppf(0.995, fit.n - 2) * fit.se_b
             if fit.b - half <= true_b <= fit.b + half:
                 hits += 1
         assert hits >= reps - 2
@@ -176,7 +176,6 @@ class TestSummaryFit:
         assert fit.t_b_vs_1 == pytest.approx(-32.5)
         assert fit.p_b < 1e-10
         assert fit.p_b_vs_1 < 1e-10
-        assert fit.df == 49
 
     def test_r2_completion(self):
         fit = EvolutionFit(b=0.5, se_b=0.1, n=12, r2_adj=0.81)

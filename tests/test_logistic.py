@@ -236,6 +236,27 @@ class TestKSearchEvaluations:
         assert "sse_evals" not in repr(fit)
 
 
+def test_descent_stops_at_the_damping_limit(monkeypatch):
+    # Every sigmoid underflows at this start, so no damping makes a usable
+    # step: the damping climbs to its limit and the start comes back after
+    # its one SSE evaluation.
+    dampings = []
+    newton_step = logistic._newton_step
+
+    def record(derivs, damping):
+        dampings.append(damping)
+        return newton_step(derivs, damping)
+
+    monkeypatch.setattr(logistic, "_newton_step", record)
+    ys = [math.log(v) for v in (1, 2, 4, 7, 9)]
+    taus = [-1.0, -0.5, 0.0, 0.5, 1.0]
+    c_max = math.log(90)
+    alpha, beta, sse, c, evals = logistic._descend(ys, taus, c_max, -1e4, 1.0, 0)
+    assert (alpha, beta, evals) == (-1e4, 1.0, 1)
+    assert (sse, c) == logistic._residuals(ys, taus, c_max, -1e4, 1.0)[:2]
+    assert dampings[-1] >= logistic._LAMBDA_MAX
+
+
 def default_pair(n, sigma, seed):
     """The default ``simulate`` pair at n points."""
     return generate_pair(

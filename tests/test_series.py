@@ -12,6 +12,7 @@ from techevo import (
     EvolutionFit,
     FmtSeries,
     LogisticParams,
+    PathwayClass,
     SyntheticSpec,
     align,
     classify_pathway,
@@ -199,6 +200,12 @@ class TestSeriesInvariants:
             LogisticParams(4.0, 0.3)
         spec = SyntheticSpec(params, params, 0.0, 40.0, 21)
         assert spec.noise_sigma == 0.0 and spec.seed == 0
+
+    def test_records_equal_only_their_own_class(self):
+        params = LogisticParams(4.0, 0.3, 100.0)
+        assert params != (4.0, 0.3, 100.0)
+        assert params != PathwayClass(4.0, 0.3, 100.0)
+        assert params.__eq__(PathwayClass(4.0, 0.3, 100.0)) is NotImplemented
 
 
 _time = st.one_of(st.integers(-10**6, 10**6), st.floats(-1e9, 1e9, allow_nan=False))
