@@ -28,6 +28,7 @@ from .logistic import DEFAULT_K_SEARCH_FACTOR, LogisticParams, fit_logistic
 from .pathway import DEFAULT_ALPHA
 from .report import (
     FLOAT_DIGITS,
+    _host_and_sub,
     _logistic_fit_dict,
     _quantize,
     emit_plot_data,
@@ -149,7 +150,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.plot:
         os.makedirs(args.plot, exist_ok=True)
         fits = report["logistic_fits"]
-        for label, series in (("host", host), ("sub", sub)):
+
+        def write_plot(label: str, series: FmtSeries) -> None:
             params = None
             if fits is not None:
                 f = fits[label]
@@ -157,7 +159,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
             plot = emit_plot_data(series, params)
             _write_text(os.path.join(args.plot, f"{label}.csv"), plot.csv)
             _write_text(os.path.join(args.plot, f"{label}.svg"), plot.svg)
-            del plot  # free this plot's text before the next one is built
+
+        # On long series the sub's plot is built and written by a forked child.
+        _host_and_sub(write_plot, host, sub)
     if args.out:
         _write_text(args.out, text)
     else:

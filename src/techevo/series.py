@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from itertools import compress
+from itertools import compress, islice
+from operator import lt
 
 from ._record import Record
 from .errors import (
@@ -48,6 +49,19 @@ class FmtSeries(Record):
         ts, values = list(map(float, ts)), list(map(float, values))
         if len(ts) != len(values):
             raise ValueError(f"series {name!r}: {len(ts)} times but {len(values)} values")
+        # Accept at once times that strictly increase from and to finite
+        # ends, so all are finite and distinct, and values whose sum is
+        # finite (none is inf or nan) and whose least is positive.
+        if (
+            len(ts) >= MIN_POINTS
+            and math.isfinite(ts[0])
+            and math.isfinite(ts[-1])
+            and all(map(lt, ts, islice(ts, 1, None)))
+            and math.isfinite(sum(values))
+            and min(values) > 0.0
+        ):
+            super().__init__(name, tuple(ts), tuple(values))
+            return
         order = sorted(range(len(ts)), key=ts.__getitem__)
         ts = tuple(map(ts.__getitem__, order))
         values = tuple(map(values.__getitem__, order))
@@ -85,6 +99,9 @@ class AlignedPair(Record):
     __slots__ = ("host", "sub", "ts", "host_values", "sub_values")
 
     def __init__(self, host: FmtSeries, sub: FmtSeries) -> None:
+        if host.ts == sub.ts:  # a shared grid: every timestamp is common
+            super().__init__(host, sub, host.ts, host.values, sub.values)
+            return
         sub_by_t = dict(zip(sub.ts, sub.values))
         shared = [t in sub_by_t for t in host.ts]
         ts = tuple(compress(host.ts, shared))

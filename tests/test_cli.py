@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import techevo.cli
+import techevo.report
 from conftest import FIXTURES
 from techevo import fit_logistic, parse_fmt_csv
 from techevo.cli import COMMANDS, EXIT_OK, PLOT_FILES, build_parser, main
@@ -733,6 +735,168 @@ class TestReportDeterminism:
         assert json.loads(texts[0])["provenance"]["config"]["k_search_factor"] is None
 
 
+
+@pytest.fixture(scope="module")
+def long_pair(tmp_path_factory):
+    """A simulated 2 000-point pair, long enough for report to fork."""
+    d = tmp_path_factory.mktemp("long")
+    host, sub = str(d / "host.csv"), str(d / "sub.csv")
+    argv = ["simulate", "--n-points", "2000", "--noise-sigma", "0.05"]
+    assert main([*argv, "--out-host", host, "--out-sub", sub]) == EXIT_OK
+    return host, sub
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Count os.fork calls, let report see two CPUs, and check afterwards
+    that no child and no file descriptor is left behind."""
+    calls = []
+    fork = os.fork
+
+    def counting():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # Only the interpreter's threads count here, so numpy's BLAS threads in
+    # the test process do not keep report in one process.
+    monkeypatch.setattr(techevo.report, "_threads", threading.active_count)
+    fds = sorted(os.listdir("/dev/fd"))
+    yield calls
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/dev/fd")) == fds
+
+
+def _report_and_plots(pair, d, *extra):
+    """Run report on ``pair`` into ``d``; returns (exit code, the report
+    with the timestamp blanked, the plot files' bytes)."""
+    d.mkdir(exist_ok=True)
+    argv = ["report", "--host", pair[0], "--sub", pair[1], *extra]
+    code = main([*argv, "--out", str(d / "r.json"), "--plot", str(d / "p")])
+    if code != EXIT_OK:
+        return code, None, None
+    text = re.sub(r'"timestamp": "[^"]*"', '"timestamp": null', (d / "r.json").read_text())
+    return code, text, {name: (d / "p" / name).read_bytes() for name in PLOT_FILES}
+
+
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+class TestTwoProcesses:
+    """On long series report fits and plots the sub in a forked child; every
+    output byte, exit code and message is that of the serial path."""
+
+    def serial(self, pair, tmp_path, monkeypatch, *extra):
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            return _report_and_plots(pair, tmp_path / "serial", *extra)
+
+    @pytest.mark.parametrize("extra", [(), ("--no-logistic",)], ids=["fits", "no-fits"])
+    def test_outputs_are_those_of_the_serial_path(
+        self, long_pair, tmp_path, monkeypatch, forks, extra
+    ):
+        parallel = _report_and_plots(long_pair, tmp_path / "parallel", *extra)
+        assert len(forks) == (1 if extra else 2)
+        assert parallel[0] == EXIT_OK
+        assert parallel == self.serial(long_pair, tmp_path, monkeypatch, *extra)
+
+    def test_short_series_stay_in_one_process(self, tmp_path, forks):
+        assert _report_and_plots(SYNTH, tmp_path)[0] == EXIT_OK
+        assert forks == []
+
+    def test_one_cpu_stays_in_one_process(self, long_pair, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert _report_and_plots(long_pair, tmp_path)[0] == EXIT_OK
+        assert forks == []
+
+    def test_a_second_thread_keeps_one_process(self, long_pair, tmp_path, forks):
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            assert _report_and_plots(long_pair, tmp_path)[0] == EXIT_OK
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+
+    def test_every_thread_of_the_process_counts(self):
+        code = (
+            "import threading; from techevo.report import _threads\n"
+            "done = threading.Event(); alone = _threads()\n"
+            "thread = threading.Thread(target=done.wait); thread.start()\n"
+            "print(alone, _threads()); done.set(); thread.join(timeout=10)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        assert out.split() == ["1", "2"]
+
+    def test_a_failed_fork_gives_the_same_report(self, long_pair, tmp_path, monkeypatch, forks):
+        def refuse():
+            forks.append(1)
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        parallel = _report_and_plots(long_pair, tmp_path / "parallel")
+        assert len(forks) == 2
+        assert parallel == self.serial(long_pair, tmp_path, monkeypatch)
+
+    def test_a_child_that_dies_gives_the_same_report(
+        self, long_pair, tmp_path, monkeypatch, forks
+    ):
+        parent = os.getpid()
+        fit, plot = techevo.report.fit_logistic, techevo.cli.emit_plot_data
+
+        def die_in_child(fn):
+            def call(*args):
+                if os.getpid() != parent:
+                    os._exit(3)
+                return fn(*args)
+
+            return call
+
+        monkeypatch.setattr(techevo.report, "fit_logistic", die_in_child(fit))
+        monkeypatch.setattr(techevo.cli, "emit_plot_data", die_in_child(plot))
+        parallel = _report_and_plots(long_pair, tmp_path / "parallel")
+        assert len(forks) == 2
+        assert parallel == self.serial(long_pair, tmp_path, monkeypatch)
+
+    def test_a_long_falling_sub_is_the_serial_fitting_error(
+        self, long_pair, tmp_path, monkeypatch, capsys, forks
+    ):
+        ts = [line.split(",")[0] for line in Path(long_pair[0]).read_text().split()[1:]]
+        falling = write_csv(
+            tmp_path / "falling.csv", [f"{t},{2000 - i}" for i, t in enumerate(ts)]
+        )
+        pair = (long_pair[0], falling)
+        code = _report_and_plots(pair, tmp_path / "parallel")[0]
+        err = capsys.readouterr().err
+        assert (code, len(forks)) == (EXIT_FITTING, 1)
+        assert err.startswith("NotSShaped: ")
+        assert self.serial(pair, tmp_path, monkeypatch)[0] == EXIT_FITTING
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "parallel" / "p").exists()
+
+    def test_an_interrupt_in_the_parent_kills_the_child(
+        self, long_pair, tmp_path, monkeypatch, forks
+    ):
+        parent = os.getpid()
+        fit = techevo.report.fit_logistic
+
+        def interrupted(series, factor):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return fit(series, factor)
+
+        monkeypatch.setattr(techevo.report, "fit_logistic", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            _report_and_plots(long_pair, tmp_path)
+        assert len(forks) == 1
+
 def test_cli_imports_only_the_standard_library():
     # -S keeps site-packages' .pth hooks out, so every module loaded is one
     # the import of techevo.cli pulled in, or the interpreter's own.
@@ -745,7 +909,8 @@ def test_cli_imports_only_the_standard_library():
     assert "techevo.cli" in out
     # Kept off the start-up path: dataclasses alone pulls in inspect, ast,
     # dis and tokenize.
-    assert not {"dataclasses", "inspect", "datetime", "typing", "pathlib"} & set(out)
+    # pickle is imported only when report forks.
+    assert not {"dataclasses", "inspect", "datetime", "typing", "pathlib", "pickle"} & set(out)
     foreign = [
         name
         for name in out

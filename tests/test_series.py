@@ -224,6 +224,36 @@ class TestColumns:
         expected = tuple(sorted(zip(map(float, ts), map(float, vs)), key=itemgetter(0)))
         assert FmtSeries("s", ts, vs).points == expected
 
+    @given(st.lists(st.tuples(_time, _value), min_size=3, max_size=30,
+                    unique_by=lambda p: float(p[0])))
+    def test_increasing_times_are_stored_as_given(self, points):
+        points = sorted(points, key=lambda p: float(p[0]))
+        s = FmtSeries("s", [t for t, _ in points], [v for _, v in points])
+        assert s.points == tuple((float(t), float(v)) for t, v in points)
+        assert type(s.ts) is type(s.values) is tuple
+
+    @pytest.mark.parametrize(
+        "ts, vs, error, message",
+        [
+            ([0, 1, 2], [1, math.nan, 3], NonPositiveValue, "non-finite point (1.0, nan)"),
+            ([0, 1, 2], [1, 2, math.inf], NonPositiveValue, "non-finite point (2.0, inf)"),
+            ([0, 1, 2], [1, 0.0, -1], NonPositiveValue, "value 0.0 at t=1.0 is not positive"),
+            ([0, 1, math.inf], [1, 2, 3], NonPositiveValue, "non-finite point (inf, 3.0)"),
+            ([-math.inf, 1, 2], [1, 2, 3], NonPositiveValue, "non-finite point (-inf, 1.0)"),
+            ([0, 1, 1, 2], [1, 2, 3, 4], DuplicateTimestamp, "duplicate timestamp t=1.0"),
+            ([-0.0, 0.0, 1], [1, 2, 3], DuplicateTimestamp, "duplicate timestamp t="),
+            ([0, 1], [1, 2], TooFewPoints, "has 2 points; need >= 3"),
+        ],
+    )
+    def test_increasing_times_are_checked_as_any(self, ts, vs, error, message):
+        for order in (slice(None), slice(None, None, -1)):
+            with pytest.raises(error) as exc:
+                FmtSeries("s", ts[order], vs[order])
+            assert message in str(exc.value)
+
+    def test_values_whose_sum_overflows_are_accepted(self):
+        assert FmtSeries("s", [0, 1, 2], [1e308] * 3).values == (1e308,) * 3
+
     def test_columns_are_stored_not_rebuilt(self):
         s = make_series([2, 0, 1, 3], [4, 1, 2, 8])
         assert s.ts is s.ts and s.values is s.values
@@ -272,6 +302,17 @@ class TestAlign:
         host = make_series([0, 1, 2, 3, 4], [1, 2, 3, 4, 5], "h")
         sub = make_series([0, 1, 2, 3, 4], [2, 3, 4, 5, 6], "p")
         assert len(align(host, sub)) == 5
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_identical_grids_give_the_join(self, zero):
+        # -0.0 == 0.0, so the join pairs them and keeps the host's time.
+        host = make_series([-1, 0.0, 2.5, 3], [1, 2, 3, 4], "h")
+        sub = make_series([-1, zero, 2.5, 3], [5, 6, 7, 8], "p")
+        pair = align(host, sub)
+        assert list(zip(pair.ts, pair.host_values, pair.sub_values)) == [
+            (t, v, dict(zip(sub.ts, sub.values))[t]) for t, v in zip(host.ts, host.values)
+        ]
+        assert [math.copysign(1.0, t) for t in pair.ts] == [-1.0, 1.0, 1.0, 1.0]
 
     def test_insufficient_overlap(self):
         host = make_series([0, 1, 9], [1, 2, 3], "h")
