@@ -12,7 +12,9 @@ Exit codes
 0 on success and 2 on a usage error (argparse).  Every other failure exits
 with the ``exit_code`` of its category in ``errors.py`` (10-14, or 1 for
 the bare base class); a file that cannot be read or written, or is not
-UTF-8, exits 10.  Every output path is checked before any input is read.
+UTF-8, exits 10.  Every output is staged beside its target before any
+input is read, and put in place only once every write has succeeded, so a
+command that fails changes no file.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
+import time
 
 from . import __version__
 from .errors import ConfigError, InputError, TechEvoError
@@ -96,98 +100,136 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 PLOT_FILES = ("host.csv", "host.svg", "sub.csv", "sub.svg")
 
 
-def _check_files(reads: dict[str, str], writes: dict[str, str], made: str | None) -> None:
-    """Refuse a ``made`` (the directory the command makes) under a path that
-    is not a directory, an output that is a directory, is ``made`` or lies
-    in a missing one but ``made``, then a file named twice but not only by
-    inputs; a symlink's resolved path stands for the path.  A directory is
-    known by its device and inode, or while it is missing by its resolved
-    path (so ``link/..`` is where the system leads); a file by its device
-    and inode, so a link to it names it, or while it is missing by its
-    directory and name."""
+def _write_outputs(reads: dict[str, str], writes: dict[str, str], made: str | None, write):
+    """Return ``write(temps)``, where ``temps`` maps each option of
+    ``writes`` (option -> path) to the file to write that output to: an
+    empty file made beside it (beside where it leads, if a symlink) and
+    renamed onto it once ``write`` returns, or else removed along with the
+    directories made.  An output that exists and is not a regular file (a
+    FIFO, a device) is written in place.  Refused first, in ``writes |
+    reads`` order: a ``made`` (the directory to make) under a path that is
+    not a directory, an output that is a directory, and a file named twice
+    but not only by inputs (a file is known by its device and inode, or
+    while missing by its directory's and its own name)."""
+    missing = []  # the levels of made to make, deepest first
     top = made
     while top and not os.path.lexists(top):
+        missing.append(top)
         top = os.path.dirname(top)
     if made and not os.path.isdir(top or "."):
         raise NotADirectoryError(f"cannot make {made!r}: {top!r} is not a directory")
-    ids: dict[str, tuple[int, int] | str] = {}
-
-    def dir_id(path: str) -> tuple[int, int] | str:
-        if path not in ids:
-            st = os.stat(path or ".") if os.path.isdir(path or ".") else None
-            ids[path] = (st.st_dev, st.st_ino) if st else os.path.realpath(path)
-        return ids[path]
-
-    made_id = made and dir_id(made)
     seen: dict[tuple, str] = {}
-    for option, path in (writes | reads).items():
-        real = os.path.realpath(path) if os.path.islink(path) else path
-        if option in writes:
-            if os.path.isdir(path or ".") or isinstance(made_id, str) and dir_id(path) == made_id:
+    temps = dict(writes)
+    staged = []  # (temporary file, target, path)
+    try:
+        if missing:
+            os.makedirs(made, exist_ok=True)
+        for option, path in (writes | reads).items():
+            if option in writes and os.path.isdir(path or "."):
                 raise IsADirectoryError(f"the {option} path {path!r} is a directory")
-            if isinstance(folder := dir_id(os.path.dirname(real)), str) and folder != made_id:
-                raise FileNotFoundError(f"no directory for the {option} file {path!r}")
-        try:
-            st = os.stat(path)
-            file = st.st_dev, st.st_ino
-        except OSError:
-            file = dir_id(os.path.dirname(real)), os.path.basename(real)
-        first = seen.setdefault(file, option)
-        if first in writes and first != option:
-            raise ConfigError(f"{first} and {option} name the same file {path!r}")
+            try:
+                try:
+                    st = os.stat(path)
+                except OSError:
+                    st = None
+                # A file to make or replace is the one a symlink leads to.
+                regular = st is None or stat.S_ISREG(st.st_mode)
+                real = os.path.realpath(path) if regular and os.path.islink(path) else path
+                folder, name = os.path.split(real)
+                if st:
+                    file = st.st_dev, st.st_ino
+                else:
+                    st = os.stat(folder or ".")
+                    file = st.st_dev, st.st_ino, name
+                first = seen.setdefault(file, option)
+                if first in writes and first != option:
+                    raise ConfigError(f"{first} and {option} name the same file {path!r}")
+                if option in writes and regular:
+                    # Hidden; the time keeps a file left by a killed run that
+                    # had this pid (say, pid 1 in a container) out of the way.
+                    temp = os.path.join(folder, f".{name}.{os.getpid()}.{time.time_ns()}")
+                    os.close(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+                    staged.append((temp, real, path))
+                    temps[option] = temp
+            except OSError as exc:  # named as the user named it
+                raise OSError(exc.errno, exc.strerror, path)
+        result = write(temps)
+        for temp, real, path in staged:
+            try:
+                os.replace(temp, real)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path)
+        staged = missing = []
+        return result
+    finally:
+        for temp, _, _ in staged:
+            try:
+                os.unlink(temp)
+            except OSError:
+                pass
+        for level in missing:
+            try:
+                os.rmdir(level)
+            except OSError:
+                pass
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     """``report``, and ``evolve``, whose parser sets --no-logistic and no plot."""
     writes = {"--out": args.out} if args.out else {}
     writes |= {f"--plot {name}": os.path.join(args.plot, name) for name in PLOT_FILES if args.plot}
-    _check_files({"--host": args.host, "--sub": args.sub}, writes, args.plot)
-    host = _read_series(args.host)
-    sub = _read_series(args.sub)
-    factor = None if args.no_logistic else args.k_search_factor
-    report = run_pipeline(host, sub, alpha=args.alpha, k_search_factor=factor)
-    text = report_to_json(report) if args.format == "json" else emit_table(report)
-    if args.plot:
-        os.makedirs(args.plot, exist_ok=True)
-        fits = report["logistic_fits"]
 
-        def write_plot(label: str, series: FmtSeries) -> None:
-            params = None
-            if fits is not None:
-                f = fits[label]
-                params = LogisticParams(f["a"], f["b"], f["k"])
-            plot = emit_plot_data(series, params)
-            _write_text(os.path.join(args.plot, f"{label}.csv"), plot.csv)
-            _write_text(os.path.join(args.plot, f"{label}.svg"), plot.svg)
+    def write(temps: dict[str, str]) -> int:
+        host = _read_series(args.host)
+        sub = _read_series(args.sub)
+        factor = None if args.no_logistic else args.k_search_factor
+        report = run_pipeline(host, sub, alpha=args.alpha, k_search_factor=factor)
+        text = report_to_json(report) if args.format == "json" else emit_table(report)
+        if args.plot:
+            fits = report["logistic_fits"]
 
-        # On long series the sub's plot is built and written by a forked child.
-        _host_and_sub(write_plot, host, sub)
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+            def write_plot(label: str, series: FmtSeries) -> None:
+                params = None
+                if fits is not None:
+                    f = fits[label]
+                    params = LogisticParams(f["a"], f["b"], f["k"])
+                plot = emit_plot_data(series, params)
+                _write_text(temps[f"--plot {label}.csv"], plot.csv)
+                _write_text(temps[f"--plot {label}.svg"], plot.svg)
+
+            # On long series the sub's plot is built and written by a forked child.
+            _host_and_sub(write_plot, host, sub)
+        if args.out:
+            _write_text(temps["--out"], text)
+        else:
+            sys.stdout.write(text)
+        return EXIT_OK
+
+    return _write_outputs({"--host": args.host, "--sub": args.sub}, writes, args.plot, write)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    _check_files({}, {"--out-host": args.out_host, "--out-sub": args.out_sub}, None)
-    # simulate's inputs are all options, so a spec it refuses is a ConfigError.
-    try:
-        spec = SyntheticSpec(
-            host_params=LogisticParams(*args.host_params),
-            sub_params=LogisticParams(*args.sub_params),
-            t_start=args.t_start,
-            t_end=args.t_end,
-            n_points=args.n_points,
-            noise_sigma=args.noise_sigma,
-            seed=args.seed,
-        )
-        pair = generate_pair(spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    _write_text(args.out_host, serialize_fmt_csv(pair.host))
-    _write_text(args.out_sub, serialize_fmt_csv(pair.sub))
-    print(f"wrote {args.out_host} and {args.out_sub} (n={len(pair)}, seed={spec.seed})")
+    def write(temps: dict[str, str]) -> str:
+        # simulate's inputs are all options, so a spec it refuses is a ConfigError.
+        try:
+            spec = SyntheticSpec(
+                host_params=LogisticParams(*args.host_params),
+                sub_params=LogisticParams(*args.sub_params),
+                t_start=args.t_start,
+                t_end=args.t_end,
+                n_points=args.n_points,
+                noise_sigma=args.noise_sigma,
+                seed=args.seed,
+            )
+            pair = generate_pair(spec)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        _write_text(temps["--out-host"], serialize_fmt_csv(pair.host))
+        _write_text(temps["--out-sub"], serialize_fmt_csv(pair.sub))
+        return f"wrote {args.out_host} and {args.out_sub} (n={len(pair)}, seed={spec.seed})"
+
+    writes = {"--out-host": args.out_host, "--out-sub": args.out_sub}
+    print(_write_outputs({}, writes, None, write))
     return EXIT_OK
 
 

@@ -1,7 +1,9 @@
+import errno
 import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -575,7 +577,7 @@ class TestFileChecks:
         assert main(args) == EXIT_INPUT
         assert os.listdir(tmp_path) == ["dl.csv"]
         err = capsys.readouterr().err
-        assert err.startswith("FileNotFoundError: no directory for the --out-sub file")
+        assert err == "FileNotFoundError: [Errno 2] No such file or directory: 'dl.csv'\n"
 
     def test_a_missing_directory_is_where_a_link_leads(self, tmp_path, capsys, monkeypatch):
         # link/../newp is a/newp, so --out's newp is not the plot directory.
@@ -589,7 +591,8 @@ class TestFileChecks:
         assert sorted(os.listdir(tmp_path)) == ["a", "link"]
         assert os.listdir(tmp_path / "a") == ["real"]
         err = capsys.readouterr().err
-        assert err.startswith("FileNotFoundError: no directory for the --out file")
+        out = os.path.join("newp", "r.json")
+        assert err == f"FileNotFoundError: [Errno 2] No such file or directory: {out!r}\n"
 
     def test_plot_file_that_is_a_directory_writes_no_plot(self, tmp_path, capsys):
         plots = tmp_path / "plots"
@@ -897,6 +900,124 @@ class TestTwoProcesses:
             _report_and_plots(long_pair, tmp_path)
         assert len(forks) == 1
 
+
+def _paths(root):
+    """Every path under ``root``: files, links and directories."""
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+#: What a write that fails raises: a full disk, or an interrupt.
+_WRITE_ERRORS = {
+    "ENOSPC": lambda: OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+    "interrupt": KeyboardInterrupt,
+}
+
+
+def _fail_writing(monkeypatch, name, error):
+    """Make the write of the output named ``name`` write half its text and
+    then raise ``_WRITE_ERRORS[error]``; every other write goes through."""
+    write = techevo.cli._write_text
+
+    def half_then_fail(path, text):
+        if os.path.basename(path).startswith(f".{name}."):
+            write(path, text[: len(text) // 2])
+            raise _WRITE_ERRORS[error]()
+        write(path, text)
+
+    monkeypatch.setattr(techevo.cli, "_write_text", half_then_fail)
+
+
+def _fails_as(error, argv, capsys):
+    """Run ``main(argv)``, which must fail as ``error`` does: exit 10 with
+    ENOSPC's message, or the interrupt raised through."""
+    if error == "interrupt":
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == "OSError: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+class TestOneCommitPoint:
+    """Outputs are written to temporary files beside them and renamed into
+    place only after the last write has succeeded, so a command that fails
+    leaves every file as it was, on the serial and the forked path alike."""
+
+    @pytest.mark.parametrize("error", _WRITE_ERRORS)
+    @pytest.mark.parametrize("path", ["forked", "serial"])
+    @pytest.mark.parametrize("name", ["r.json", *PLOT_FILES])
+    def test_a_failed_report_write_leaves_nothing(
+        self, long_pair, tmp_path, monkeypatch, capsys, forks, name, path, error
+    ):
+        if path == "serial":
+            monkeypatch.delattr(os, "fork")
+        (tmp_path / "r.json").write_text("an earlier report\n")
+        before = _tree(tmp_path), _paths(tmp_path)
+        _fail_writing(monkeypatch, name, error)
+        inputs = ["--host", long_pair[0], "--sub", long_pair[1]]
+        outputs = ["--out", str(tmp_path / "r.json"), "--plot", str(tmp_path / "d" / "p")]
+        _fails_as(error, ["report", *inputs, *outputs], capsys)
+        assert (_tree(tmp_path), _paths(tmp_path)) == before
+        assert len(forks) == (2 if path == "forked" else 0)
+
+    @pytest.mark.parametrize("error", _WRITE_ERRORS)
+    @pytest.mark.parametrize("name", ["h.csv", "s.csv"])
+    def test_a_failed_simulate_write_leaves_nothing(
+        self, tmp_path, monkeypatch, capsys, name, error
+    ):
+        (tmp_path / "s.csv").write_text("an earlier series\n")
+        before = _tree(tmp_path), _paths(tmp_path)
+        _fail_writing(monkeypatch, name, error)
+        argv = ["simulate", "--out-host", str(tmp_path / "h.csv"), "--out-sub"]
+        _fails_as(error, [*argv, str(tmp_path / "s.csv")], capsys)
+        assert (_tree(tmp_path), _paths(tmp_path)) == before
+
+    def test_an_output_that_is_a_fifo_is_written_in_place(self, tmp_path):
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no FIFOs on this system")
+        fifo, plain = tmp_path / "fifo", tmp_path / "plain.json"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            pair = ["evolve", "--host", POWER[0], "--sub", POWER[1], "--out"]
+            assert main([*pair, str(fifo)]) == EXIT_OK
+            data = os.read(reader, 1 << 20)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["fifo"]
+        assert main([*pair, str(plain)]) == EXIT_OK
+        blank = lambda b: re.sub(rb'"timestamp": "[^"]*"', b"", b)
+        assert blank(data) == blank(plain.read_bytes())
+
+    def test_dev_stdout_as_an_output_is_the_pipe_it_leads_to(self):
+        if not os.path.exists("/dev/stdout"):
+            pytest.skip("no /dev/stdout on this system")
+        src = Path(__file__).resolve().parent.parent / "src"
+        argv = ["evolve", "--host", POWER[0], "--sub", POWER[1], "--out", "/dev/stdout"]
+        run = subprocess.run(
+            [sys.executable, "-m", "techevo.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (run.returncode, run.stderr) == (EXIT_OK, "")
+        assert json.loads(run.stdout)["schema_version"] == 3
+
+    def test_outputs_get_the_mode_of_a_new_file(self, tmp_path):
+        old = tmp_path / "old.csv"
+        old.write_text("an earlier series\n")
+        old.chmod(0o600)
+        umask = os.umask(0o022)
+        try:
+            argv = ["simulate", "--out-host", str(tmp_path / "new.csv"), "--out-sub", str(old)]
+            assert main(argv) == EXIT_OK
+        finally:
+            os.umask(umask)
+        for name in ("new.csv", "old.csv"):
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o644
+
+
 def test_cli_imports_only_the_standard_library():
     # -S keeps site-packages' .pth hooks out, so every module loaded is one
     # the import of techevo.cli pulled in, or the interpreter's own.
@@ -910,7 +1031,9 @@ def test_cli_imports_only_the_standard_library():
     # Kept off the start-up path: dataclasses alone pulls in inspect, ast,
     # dis and tokenize.
     # pickle is imported only when report forks.
-    assert not {"dataclasses", "inspect", "datetime", "typing", "pathlib", "pickle"} & set(out)
+    # Outputs are staged without tempfile, which pulls in shutil and random.
+    forbidden = {"dataclasses", "inspect", "datetime", "typing", "pathlib", "pickle"}
+    assert not (forbidden | {"tempfile", "shutil", "random"}) & set(out)
     foreign = [
         name
         for name in out
