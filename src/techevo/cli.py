@@ -20,6 +20,7 @@ command that fails changes no file.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import stat
@@ -32,7 +33,6 @@ from .logistic import DEFAULT_K_SEARCH_FACTOR, LogisticParams, fit_logistic
 from .pathway import DEFAULT_ALPHA
 from .report import (
     FLOAT_DIGITS,
-    _host_and_sub,
     _logistic_fit_dict,
     _quantize,
     emit_plot_data,
@@ -65,7 +65,10 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    """Write ``text`` over the start of ``path``, an existing file that is
+    neither made nor truncated: a staged temporary file, or an output that
+    is not a regular file."""
+    with open(os.open(path, os.O_WRONLY), "w", encoding="utf-8") as f:
         f.write(text)
 
 
@@ -106,11 +109,14 @@ def _write_outputs(reads: dict[str, str], writes: dict[str, str], made: str | No
     empty file made beside it (beside where it leads, if a symlink) and
     renamed onto it once ``write`` returns, or else removed along with the
     directories made.  An output that exists and is not a regular file (a
-    FIFO, a device) is written in place.  Refused first, in ``writes |
-    reads`` order: a ``made`` (the directory to make) under a path that is
-    not a directory, an output that is a directory, and a file named twice
-    but not only by inputs (a file is known by its device and inode, or
-    while missing by its directory's and its own name)."""
+    FIFO, a device) is written in place.  Refused first: an empty ``made``
+    or output path, as ``open("")`` refuses it; then, in ``writes | reads``
+    order, a ``made`` (the directory to make) under a path that is not a
+    directory, an output that is a directory, and a file named twice but
+    not only by inputs (a file is known by its device and inode, or while
+    missing by its directory's and its own name)."""
+    if "" in (made, *writes.values()):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), "")
     missing = []  # the levels of made to make, deepest first
     top = made
     while top and not os.path.lexists(top):
@@ -125,7 +131,7 @@ def _write_outputs(reads: dict[str, str], writes: dict[str, str], made: str | No
         if missing:
             os.makedirs(made, exist_ok=True)
         for option, path in (writes | reads).items():
-            if option in writes and os.path.isdir(path or "."):
+            if option in writes and os.path.isdir(path):
                 raise IsADirectoryError(f"the {option} path {path!r} is a directory")
             try:
                 try:
@@ -176,30 +182,24 @@ def _write_outputs(reads: dict[str, str], writes: dict[str, str], made: str | No
 
 def _cmd_report(args: argparse.Namespace) -> int:
     """``report``, and ``evolve``, whose parser sets --no-logistic and no plot."""
-    writes = {"--out": args.out} if args.out else {}
-    writes |= {f"--plot {name}": os.path.join(args.plot, name) for name in PLOT_FILES if args.plot}
+    writes = {} if args.out is None else {"--out": args.out}
+    if args.plot is not None:
+        writes |= {f"--plot {name}": os.path.join(args.plot, name) for name in PLOT_FILES}
 
     def write(temps: dict[str, str]) -> int:
         host = _read_series(args.host)
         sub = _read_series(args.sub)
+
+        def write_plot(label: str, series: FmtSeries, params: LogisticParams | None) -> None:
+            data = emit_plot_data(series, params)
+            _write_text(temps[f"--plot {label}.csv"], data.csv)
+            _write_text(temps[f"--plot {label}.svg"], data.svg)
+
         factor = None if args.no_logistic else args.k_search_factor
-        report = run_pipeline(host, sub, alpha=args.alpha, k_search_factor=factor)
+        plot = write_plot if args.plot is not None else None
+        report = run_pipeline(host, sub, alpha=args.alpha, k_search_factor=factor, plot=plot)
         text = report_to_json(report) if args.format == "json" else emit_table(report)
-        if args.plot:
-            fits = report["logistic_fits"]
-
-            def write_plot(label: str, series: FmtSeries) -> None:
-                params = None
-                if fits is not None:
-                    f = fits[label]
-                    params = LogisticParams(f["a"], f["b"], f["k"])
-                plot = emit_plot_data(series, params)
-                _write_text(temps[f"--plot {label}.csv"], plot.csv)
-                _write_text(temps[f"--plot {label}.svg"], plot.svg)
-
-            # On long series the sub's plot is built and written by a forked child.
-            _host_and_sub(write_plot, host, sub)
-        if args.out:
+        if args.out is not None:
             _write_text(temps["--out"], text)
         else:
             sys.stdout.write(text)

@@ -6,10 +6,11 @@ builds one (floats unquantized, no ``digest``) and ``json.loads`` of a
 saved report gives one back; ``report_to_json``, ``determinism_digest``
 and ``emit_table`` take either.
 
-``run_pipeline`` aligns two series, fits each series' S-curve (unless
-``k_search_factor`` is None), estimates the evolutionary coefficient and
-classifies the pathway at level ``alpha``; on long series the two fits
-run side by side, the subsystem's in a forked child (``_host_and_sub``).
+``run_pipeline`` aligns two series, fits each one's S-curve (unless
+``k_search_factor`` is None) and passes it to an optional ``plot`` hook,
+estimates the evolutionary coefficient and classifies the pathway at
+level ``alpha``; on long series the subsystem's fit and plot are made in
+one forked child (``_host_and_sub``), the only process this tool starts.
 The report serializes to strict JSON with floats at 12 significant
 digits (stable across platforms), a non-finite statistic written as the
 string "inf", "-inf" or "nan", and carries a SHA-256 digest over every
@@ -125,12 +126,12 @@ def _host_and_sub(fn, host: FmtSeries, sub: FmtSeries) -> dict:
     """``{"host": fn("host", host), "sub": fn("sub", sub)}``.
 
     Where ``_fork_pays``, the sub's call runs in a forked child while this
-    process makes the host's; only its result comes back (None for a call
-    that wrote files itself).  If anything goes wrong on the child's side
-    (the fork, the call, the child ending without a result), the sub's
-    call is made here instead, so the results, the error raised and its
-    order (the host's first) are the serial ones.  The child is always
-    reaped, and killed first if the host's call raised.
+    process makes the host's; only its result comes back.  If anything
+    goes wrong on the child's side (the fork, the call, the child ending
+    without a result), the sub's call is made here instead, over any file
+    the child began, so the results, the error raised and its order (the
+    host's first) are the serial ones.  The child is always reaped, and
+    killed first if the host's call raised.
     """
     child = _fork_pays(host, sub) and _fork(lambda: fn("sub", sub))
     if not child:
@@ -158,6 +159,7 @@ def run_pipeline(
     *,
     alpha: float = DEFAULT_ALPHA,
     k_search_factor: float | None = DEFAULT_K_SEARCH_FACTOR,
+    plot=None,
 ) -> dict:
     """Align, (optionally) fit, estimate and classify two series.
 
@@ -166,19 +168,24 @@ def run_pipeline(
     ``alpha`` is the level of the pathway test and ``k_search_factor``
     the upper bound on each series' k over its maximum, checked by
     ``fit_logistic``; None fits no S-curve and leaves ``logistic_fits``
-    None.  Reads and writes no file; the report names its inputs by the
-    series' names.  Errors from any stage propagate unchanged; the CLI
-    maps them onto its exit-code contract.
+    None.  ``plot(label, series, params)``, if given, is called for
+    "host", then "sub", right after that series' fit and in the process
+    that made it, with the fitted ``LogisticParams`` or None.  Writes no
+    file itself; the report names its inputs by the series' names.
+    Errors propagate unchanged, in the order host fit, host plot, sub fit,
+    sub plot, estimate, classify; the CLI maps them onto its exit codes.
     """
     pair = align(host, sub)
 
-    fits = None
-    if k_search_factor is not None:
-        fits = _host_and_sub(
-            lambda _, series: _logistic_fit_dict(fit_logistic(series, k_search_factor)),
-            host,
-            sub,
-        )
+    def work(label: str, series: FmtSeries) -> dict | None:
+        fit = None if k_search_factor is None else fit_logistic(series, k_search_factor)
+        if plot is not None:
+            plot(label, series, fit and fit.params)
+        return fit and _logistic_fit_dict(fit)
+
+    # Without a fit or a plot there is no work, so no child is started.
+    busy = k_search_factor is not None or plot is not None
+    fits = _host_and_sub(work, host, sub) if busy else None
 
     evolution = estimate_evolution(pair)
     pathway = classify_pathway(evolution, alpha)
@@ -194,7 +201,7 @@ def run_pipeline(
             "t_min": pair.ts[0],
             "t_max": pair.ts[-1],
         },
-        "logistic_fits": fits,
+        "logistic_fits": None if k_search_factor is None else fits,
         "evolution": evolution._asdict(),
         "pathway": pathway._asdict(),
         "provenance": {

@@ -635,6 +635,24 @@ class TestFileChecks:
         assert main(["simulate", "--out-host", "h.csv", "--out-sub", ""]) == EXIT_INPUT
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("option", ["--out", "--plot", "--out-host", "--out-sub"])
+    def test_an_empty_output_path_is_no_file(self, tmp_path, capsys, monkeypatch, option):
+        # Refused as fit refuses an empty input path, and never taken as the
+        # working directory, which "--plot ''" joined with host.csv would be.
+        monkeypatch.chdir(tmp_path)
+        assert main(["fit", ""]) == EXIT_INPUT
+        refusal = capsys.readouterr().err
+        assert refusal == "FileNotFoundError: [Errno 2] No such file or directory: ''\n"
+        monkeypatch.setattr(techevo.cli, "_read_series", _unread)
+        monkeypatch.setattr(techevo.cli, "generate_pair", _unread)
+        if option.startswith("--out-"):
+            argv = ["simulate", "--out-host", "h.csv", "--out-sub", "s.csv", option, ""]
+        else:
+            argv = ["report", "--host", SYNTH[0], "--sub", SYNTH[1], option, ""]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr() == ("", refusal)
+        assert os.listdir(tmp_path) == []
+
 
 def _parity_cases():
     """Help, version and usage errors of every command; HOST and SUB stand
@@ -799,7 +817,7 @@ class TestTwoProcesses:
         self, long_pair, tmp_path, monkeypatch, forks, extra
     ):
         parallel = _report_and_plots(long_pair, tmp_path / "parallel", *extra)
-        assert len(forks) == (1 if extra else 2)
+        assert len(forks) == 1
         assert parallel[0] == EXIT_OK
         assert parallel == self.serial(long_pair, tmp_path, monkeypatch, *extra)
 
@@ -845,7 +863,7 @@ class TestTwoProcesses:
 
         monkeypatch.setattr(os, "fork", refuse)
         parallel = _report_and_plots(long_pair, tmp_path / "parallel")
-        assert len(forks) == 2
+        assert len(forks) == 1
         assert parallel == self.serial(long_pair, tmp_path, monkeypatch)
 
     def test_a_child_that_dies_gives_the_same_report(
@@ -865,8 +883,42 @@ class TestTwoProcesses:
         monkeypatch.setattr(techevo.report, "fit_logistic", die_in_child(fit))
         monkeypatch.setattr(techevo.cli, "emit_plot_data", die_in_child(plot))
         parallel = _report_and_plots(long_pair, tmp_path / "parallel")
-        assert len(forks) == 2
+        assert len(forks) == 1
         assert parallel == self.serial(long_pair, tmp_path, monkeypatch)
+
+    def test_a_child_that_dies_writing_its_plot_gives_the_same_files(
+        self, long_pair, tmp_path, monkeypatch, forks
+    ):
+        parent = os.getpid()
+        write = techevo.cli._write_text
+
+        def die_halfway_in_child(path, text):
+            if os.getpid() != parent and os.path.basename(path).startswith(".sub.svg."):
+                write(path, text[: len(text) // 2])
+                os._exit(3)
+            write(path, text)
+
+        monkeypatch.setattr(techevo.cli, "_write_text", die_halfway_in_child)
+        parallel = _report_and_plots(long_pair, tmp_path / "parallel")
+        assert len(forks) == 1
+        assert parallel == self.serial(long_pair, tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize("command", [["evolve"], ["report", "--no-logistic"]])
+    def test_no_fit_and_no_plot_stays_in_one_process(self, long_pair, tmp_path, forks, command):
+        argv = [*command, "--host", long_pair[0], "--sub", long_pair[1]]
+        assert main([*argv, "--out", str(tmp_path / "r.json")]) == EXIT_OK
+        assert forks == []
+
+    def test_a_report_without_plots_forks_once(self, long_pair, tmp_path, monkeypatch, forks):
+        argv = ["report", "--host", long_pair[0], "--sub", long_pair[1], "--out"]
+        texts = []
+        for name in ("parallel.json", "serial.json"):
+            if name == "serial.json":
+                monkeypatch.delattr(os, "fork")
+            assert main([*argv, str(tmp_path / name)]) == EXIT_OK
+            texts.append(re.sub(r'"timestamp": "[^"]*"', "", (tmp_path / name).read_text()))
+        assert len(forks) == 1
+        assert texts[0] == texts[1]
 
     def test_a_long_falling_sub_is_the_serial_fitting_error(
         self, long_pair, tmp_path, monkeypatch, capsys, forks
@@ -959,7 +1011,7 @@ class TestOneCommitPoint:
         outputs = ["--out", str(tmp_path / "r.json"), "--plot", str(tmp_path / "d" / "p")]
         _fails_as(error, ["report", *inputs, *outputs], capsys)
         assert (_tree(tmp_path), _paths(tmp_path)) == before
-        assert len(forks) == (2 if path == "forked" else 0)
+        assert len(forks) == (1 if path == "forked" else 0)
 
     @pytest.mark.parametrize("error", _WRITE_ERRORS)
     @pytest.mark.parametrize("name", ["h.csv", "s.csv"])

@@ -100,6 +100,35 @@ class TestRunPipeline:
         assert rel_err(report["logistic_fits"]["host"]["k"], 100.0) < 1e-6
         assert report["pathway"]["label"] == "Underdevelopment"
 
+    @pytest.mark.parametrize("factor", [10.0, None], ids=["fits", "no-fits"])
+    def test_the_plot_hook_sees_each_series_once_with_its_fit(self, factor):
+        calls = []
+        report = run_files(
+            SYNTH_HOST, SYNTH_SUB, k_search_factor=factor, plot=lambda *call: calls.append(call)
+        )
+        fits = report["logistic_fits"]
+        assert [label for label, _, _ in calls] == ["host", "sub"]
+        for label, series, params in calls:
+            assert series == _read_series(SYNTH_HOST if label == "host" else SYNTH_SUB)
+            if factor is None:
+                assert fits is None and params is None
+            else:
+                f = fits[label]
+                assert params == LogisticParams(f["a"], f["b"], f["k"])
+        without = run_files(SYNTH_HOST, SYNTH_SUB, k_search_factor=factor)
+        assert determinism_digest(report) == determinism_digest(without)
+
+    def test_nothing_to_fit_or_plot_touches_no_file_and_starts_no_worker(self, monkeypatch):
+        host, sub = _read_series(SYNTH_HOST), _read_series(SYNTH_SUB)
+
+        def no_io(*args, **kwargs):
+            raise AssertionError("run_pipeline touched a file or started a worker")
+
+        monkeypatch.setattr("builtins.open", no_io)
+        monkeypatch.setattr("os.open", no_io)
+        monkeypatch.setattr("techevo.report._host_and_sub", no_io)
+        assert run_pipeline(host, sub, k_search_factor=None)["logistic_fits"] is None
+
 
 class TestSerialization:
     def test_digest_stable_and_timestamp_free(self):
