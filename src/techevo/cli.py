@@ -15,6 +15,13 @@ the bare base class); a file that cannot be read or written, or is not
 UTF-8, exits 10.  Every output is staged beside its target before any
 input is read, and put in place only once every write has succeeded, so a
 command that fails changes no file.
+
+Processes
+---------
+On long series ``simulate`` makes and writes the subsystem's series in a
+forked child while it makes the host's (``_workers.host_and_sub``), and
+``report`` fits and plots it in one (``run_pipeline``).  Outputs, messages
+and exit codes are those of one process.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import sys
 import time
 
 from . import __version__
+from ._workers import host_and_sub
 from .errors import ConfigError, InputError, TechEvoError
 from .logistic import DEFAULT_K_SEARCH_FACTOR, LogisticParams, fit_logistic
 from .pathway import DEFAULT_ALPHA
@@ -41,7 +49,7 @@ from .report import (
     run_pipeline,
 )
 from .series import FmtSeries, parse_fmt_csv, serialize_fmt_csv
-from .synthetic import SyntheticSpec, generate_pair
+from .synthetic import SyntheticSpec, generate_series
 
 EXIT_OK = 0
 
@@ -210,6 +218,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     def write(temps: dict[str, str]) -> str:
+        def make(label: str, temp: str) -> None:
+            _write_text(temp, serialize_fmt_csv(generate_series(spec, label)))
+
         # simulate's inputs are all options, so a spec it refuses is a ConfigError.
         try:
             spec = SyntheticSpec(
@@ -221,12 +232,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 noise_sigma=args.noise_sigma,
                 seed=args.seed,
             )
-            pair = generate_pair(spec)
+            # Each series is made and written on its own, the sub's in a
+            # child where the series are long.
+            host_and_sub(make, temps["--out-host"], temps["--out-sub"], spec.n_points)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        _write_text(temps["--out-host"], serialize_fmt_csv(pair.host))
-        _write_text(temps["--out-sub"], serialize_fmt_csv(pair.sub))
-        return f"wrote {args.out_host} and {args.out_sub} (n={len(pair)}, seed={spec.seed})"
+        return f"wrote {args.out_host} and {args.out_sub} (n={spec.n_points}, seed={spec.seed})"
 
     writes = {"--out-host": args.out_host, "--out-sub": args.out_sub}
     print(_write_outputs({}, writes, None, write))

@@ -93,10 +93,10 @@ def estimate_evolution(pair: AlignedPair) -> EvolutionFit:
     bit-deterministic.  ``FmtSeries`` makes every log defined and
     ``AlignedPair`` guarantees n >= ``MIN_POINTS``.
     """
-    x = [math.log(h) for h in pair.host_values]
-    y = [math.log(p) for p in pair.sub_values]
+    x = list(map(math.log, pair.host_values))
+    y = list(map(math.log, pair.sub_values))
     line = _LineFit(x)
-    sse, b, log_a, sxy = line.fit(y)
+    sse, b, log_a, sxy, ybar = line.fit(y)
     n = line.n
     df = n - 2
     see = math.sqrt(sse / df)
@@ -113,7 +113,7 @@ def estimate_evolution(pair: AlignedPair) -> EvolutionFit:
         n=n,
         log_a=log_a,
         se_log_a=see * math.sqrt(1.0 / n + line.xbar * line.xbar / line.sxx),
-        r2=_r_squared(y, sse),
+        r2=_r_squared(y, sse, ybar),
         f_stat=f_stat,
         see=see,
     )

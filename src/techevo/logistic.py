@@ -213,7 +213,7 @@ def _start(ys, taus, ts, scale_exp, factor):
             math.ldexp((y1 - y0) / (t1 - t0), scale_exp)
             for y0, y1, t0, t1 in zip(ys, ys[1:], ts, ts[1:])
         ]
-        _, slope, beta, _ = _LineFit(us).fit(zs)
+        _, slope, beta, *_ = _LineFit(us).fit(zs)
         kappa = -beta / slope
     except (ArithmeticError, ValueError, DegenerateX):  # overflows, inf - inf
         slope = beta = kappa = math.nan

@@ -10,7 +10,7 @@ and ``emit_table`` take either.
 ``k_search_factor`` is None) and passes it to an optional ``plot`` hook,
 estimates the evolutionary coefficient and classifies the pathway at
 level ``alpha``; on long series the subsystem's fit and plot are made in
-one forked child (``_host_and_sub``), the only process this tool starts.
+one forked child (``_workers.host_and_sub``).
 The report serializes to strict JSON with floats at 12 significant
 digits (stable across platforms), a non-finite statistic written as the
 string "inf", "-inf" or "nan", and carries a SHA-256 digest over every
@@ -23,11 +23,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import time
 
 from . import __version__
 from ._record import Record
+from ._workers import host_and_sub
 from .coevolution import estimate_evolution
 from .logistic import (
     DEFAULT_K_SEARCH_FACTOR,
@@ -62,97 +62,6 @@ def _logistic_fit_dict(fit: LogisticFit) -> dict:
     }
 
 
-#: Fewest points each series needs before ``_host_and_sub`` forks: a fork,
-#: pipe and reap cost about 2.5 ms, more than a short series' work.
-_FORK_MIN_POINTS = 1024
-
-
-def _threads() -> int:
-    """This process's threads: all of them where /proc lists them (a C
-    library's too), else the interpreter's."""
-    try:
-        return len(os.listdir("/proc/self/task"))
-    except OSError:
-        import threading
-
-        return threading.active_count()
-
-
-def _fork_pays(host: FmtSeries, sub: FmtSeries) -> bool:
-    """Whether a second process can shorten work on ``host`` and ``sub``:
-    ``os.fork`` exists, this process may run on more than one CPU, it runs
-    one thread (a fork copies no other thread, so a lock one of them held
-    stays held in the child) and both series are long."""
-    if not hasattr(os, "fork") or min(len(host), len(sub)) < _FORK_MIN_POINTS:
-        return False
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return cpus > 1 and _threads() == 1
-
-
-def _fork(call):
-    """Start a child that runs ``call()``, pipes back its pickled result
-    and always ends in ``os._exit``, without a result if anything in it
-    raised.  Returns (pid, the pipe's read end), or None when no child
-    could start."""
-    import pickle
-
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(call(), pickle.HIGHEST_PROTOCOL))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _host_and_sub(fn, host: FmtSeries, sub: FmtSeries) -> dict:
-    """``{"host": fn("host", host), "sub": fn("sub", sub)}``.
-
-    Where ``_fork_pays``, the sub's call runs in a forked child while this
-    process makes the host's; only its result comes back.  If anything
-    goes wrong on the child's side (the fork, the call, the child ending
-    without a result), the sub's call is made here instead, over any file
-    the child began, so the results, the error raised and its order (the
-    host's first) are the serial ones.  The child is always reaped, and
-    killed first if the host's call raised.
-    """
-    child = _fork_pays(host, sub) and _fork(lambda: fn("sub", sub))
-    if not child:
-        return {"host": fn("host", host), "sub": fn("sub", sub)}
-    import pickle
-    import signal
-
-    pid, pipe = child
-    with pipe:
-        try:
-            results = {"host": fn("host", host)}
-            data = pipe.read()
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            status = os.waitpid(pid, 0)[1]
-    results["sub"] = pickle.loads(data) if status == 0 and data else fn("sub", sub)
-    return results
-
-
 def run_pipeline(
     host: FmtSeries,
     sub: FmtSeries,
@@ -185,7 +94,7 @@ def run_pipeline(
 
     # Without a fit or a plot there is no work, so no child is started.
     busy = k_search_factor is not None or plot is not None
-    fits = _host_and_sub(work, host, sub) if busy else None
+    fits = host_and_sub(work, host, sub, min(len(host), len(sub))) if busy else None
 
     evolution = estimate_evolution(pair)
     pathway = classify_pathway(evolution, alpha)

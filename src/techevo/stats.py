@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from operator import mul
 
 from .errors import DegenerateX
 
@@ -51,28 +52,31 @@ class _LineFit:
         self.n = len(x)
         self.xbar = math.fsum(x) / self.n
         self.dx = [xi - self.xbar for xi in x]
-        self.sxx = math.fsum(d * d for d in self.dx)
+        self.sxx = math.fsum(map(mul, self.dx, self.dx))
         if self.sxx == math.inf:
             raise OverflowError("x spread too wide: its sum of squares overflows")
         if self.sxx == 0.0:
             raise DegenerateX("x has zero variance; slope is unidentified")
 
-    def fit(self, y: Sequence[float]) -> tuple[float, float, float, float]:
-        """(sse, slope, intercept, sxy) of the least-squares line through y."""
+    def fit(self, y: Sequence[float]) -> tuple[float, float, float, float, float]:
+        """(sse, slope, intercept, sxy, ybar) of the least-squares line
+        through y; ybar is y's mean."""
         fsum = math.fsum
         ybar = fsum(y) / self.n
         sxy = fsum(d * (yi - ybar) for d, yi in zip(self.dx, y))
         slope = sxy / self.sxx
         intercept = ybar - slope * self.xbar
         sse = fsum((r := yi - (intercept + slope * xi)) * r for xi, yi in zip(self.x, y))
-        return sse, slope, intercept, sxy
+        return sse, slope, intercept, sxy, ybar
 
 
-def _r_squared(y: Sequence[float], sse: float) -> float:
+def _r_squared(y: Sequence[float], sse: float, ybar: float | None = None) -> float:
     """Coefficient of determination of a fit to y with SSE ``sse``, clamped
     to [0, 1]; a constant y explains nothing, so its r2 is 0 (the 0/0
-    convention of ``_t_ratio``)."""
-    ybar = math.fsum(y) / len(y)
+    convention of ``_t_ratio``).  ``ybar`` is y's mean, taken here if not
+    given."""
+    if ybar is None:
+        ybar = math.fsum(y) / len(y)
     sst = math.fsum((d := yi - ybar) * d for yi in y)
     if sst > 0.0:
         return min(1.0, max(0.0, 1.0 - sse / sst))

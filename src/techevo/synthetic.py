@@ -19,25 +19,32 @@ RNG contract (language-independent)
 * uniform in (0, 1]: ``((next_u64() >> 11) + 1) * 2**-53``
 * standard normal (Box-Muller, cosine branch only, two uniforms per
   deviate): ``sqrt(-2 ln u1) * cos(2 pi u2)``
+* jump-ahead: draw i (counting from 1) of a generator in state s mixes
+  only s + i * gamma (mod 2**64), gamma = 0x9E3779B97F4A7C15, so after
+  d draws the state is ``(s + d * gamma) mod 2**64`` and a generator
+  seeded there continues the stream.
 
-``generate_pair`` draws the host's deviates first, then the subsystem's.
-Deviates are clamped to [-5, 5] so generated values always stay inside
-(0, k * exp(5 * noise_sigma)); a value that rounds out of the finite
-positive floats there raises ``ValueError``.
+``generate_pair`` draws the host's n deviates first, then the
+subsystem's: the subsystem's generator is seeded with
+``(seed + 2n * gamma) mod 2**64``, the state the host's 2n uniforms leave.
+``generate_series`` makes each series from its own start, so the two can
+be made in either order or at once; ``generate_pair`` is its two calls,
+host first.  Deviates are clamped to [-5, 5] so generated values always
+stay inside (0, k * exp(5 * noise_sigma)); a value that rounds out of the
+finite positive floats there raises ``ValueError``.
 
 Batch draws
 -----------
-``SplitMix64.normals`` computes the same stream many draws at a time,
-because draw i (counting from 1) of a generator in state s mixes only
-s + i * gamma (mod 2**64).  Up to ``_LANES`` draws are packed into one
-Python int as 64-bit lanes that alternate with 64-bit zero words.  The
-word above a lane takes the carry of the state addition and the high half
-of each 64 x 64-bit product; the word below takes the bits a right shift
-carries out of it.  Masking every lane back to 64 bits after the
-addition, before and after each multiply and before the last shift keeps
-the lanes independent, so one big-int add, shift, XOR, multiply or mask
-advances every draw at once; the uniforms' ``(x >> 11) + 1`` is taken in
-the lanes too.  Pack and unpack go
+``SplitMix64.normals`` computes the same stream many draws at a time, by
+the counter property of the jump-ahead.  Up to ``_LANES`` draws are
+packed into one Python int as 64-bit lanes that alternate with 64-bit
+zero words.  The word above a lane takes the carry of the state addition
+and the high half of each 64 x 64-bit product; the word below takes the
+bits a right shift carries out of it.  Masking every lane back to 64 bits
+after the addition, before and after each multiply and before the last
+shift keeps the lanes independent, so one big-int add, shift, XOR,
+multiply or mask advances every draw at once; the uniforms'
+``(x >> 11) + 1`` is taken in the lanes too.  Pack and unpack go
 through ``array("Q")`` in the host's native byte order (``sys.byteorder``),
 with lane j at array index 2j and a zero word at 2j + 1.  On a big-endian
 host array index 0 lands at the most significant end instead of the
@@ -187,19 +194,27 @@ def _noisy_values(
         raise ValueError(f"noise_sigma {sigma!r} overflows a noise factor") from None
 
 
-def generate_pair(spec: SyntheticSpec) -> AlignedPair:
-    """Sample both curves on a uniform grid with optional log-normal noise;
-    a time or value that ``FmtSeries`` refuses raises ``ValueError``."""
+def generate_series(spec: SyntheticSpec, label: str) -> FmtSeries:
+    """The "host" or the "sub" series of ``generate_pair(spec)``, made
+    alone: the sub's generator starts where the host's n normals leave
+    the stream.  A time or value that ``FmtSeries`` refuses raises
+    ``ValueError``."""
     n = spec.n_points
     dt = (spec.t_end - spec.t_start) / (n - 1)
     ts = [spec.t_start + i * dt for i in range(n)]
-    rng = SplitMix64(spec.seed)
-    host_vals = _noisy_values(spec.host_params, ts, spec.noise_sigma, rng)
-    sub_vals = _noisy_values(spec.sub_params, ts, spec.noise_sigma, rng)
+    if label == "host":
+        params, state = spec.host_params, spec.seed
+    else:  # the state the host's 2n draws leave
+        params, state = spec.sub_params, (spec.seed + 2 * n * _GAMMA) & _MASK64
+    values = _noisy_values(params, ts, spec.noise_sigma, SplitMix64(state))
     try:
-        host = FmtSeries("synthetic-host", ts, host_vals)
-        sub = FmtSeries("synthetic-sub", ts, sub_vals)
+        return FmtSeries(f"synthetic-{label}", ts, values)
     except InputError as exc:
         raise ValueError(f"generated {exc}") from exc
-    return AlignedPair(host=host, sub=sub)
 
+
+def generate_pair(spec: SyntheticSpec) -> AlignedPair:
+    """Sample both curves on a uniform grid with optional log-normal noise;
+    a time or value that ``FmtSeries`` refuses raises ``ValueError``, the
+    host's before any of the sub's."""
+    return AlignedPair(generate_series(spec, "host"), generate_series(spec, "sub"))

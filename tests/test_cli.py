@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import techevo._workers
 import techevo.cli
 import techevo.report
 from conftest import FIXTURES
@@ -644,7 +645,7 @@ class TestFileChecks:
         refusal = capsys.readouterr().err
         assert refusal == "FileNotFoundError: [Errno 2] No such file or directory: ''\n"
         monkeypatch.setattr(techevo.cli, "_read_series", _unread)
-        monkeypatch.setattr(techevo.cli, "generate_pair", _unread)
+        monkeypatch.setattr(techevo.cli, "generate_series", _unread)
         if option.startswith("--out-"):
             argv = ["simulate", "--out-host", "h.csv", "--out-sub", "s.csv", option, ""]
         else:
@@ -769,8 +770,8 @@ def long_pair(tmp_path_factory):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Count os.fork calls, let report see two CPUs, and check afterwards
-    that no child and no file descriptor is left behind."""
+    """Count os.fork calls, let the commands see two CPUs, and check
+    afterwards that no child and no file descriptor is left behind."""
     calls = []
     fork = os.fork
 
@@ -781,8 +782,8 @@ def forks(monkeypatch):
     monkeypatch.setattr(os, "fork", counting)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     # Only the interpreter's threads count here, so numpy's BLAS threads in
-    # the test process do not keep report in one process.
-    monkeypatch.setattr(techevo.report, "_threads", threading.active_count)
+    # the test process do not keep a command in one process.
+    monkeypatch.setattr(techevo._workers, "_threads", threading.active_count)
     fds = sorted(os.listdir("/dev/fd"))
     yield calls
     with pytest.raises(ChildProcessError):
@@ -804,8 +805,9 @@ def _report_and_plots(pair, d, *extra):
 
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 class TestTwoProcesses:
-    """On long series report fits and plots the sub in a forked child; every
-    output byte, exit code and message is that of the serial path."""
+    """On long series report fits and plots the sub, and simulate makes
+    and writes it, in a forked child; every output byte, exit code and
+    message is that of the serial path."""
 
     def serial(self, pair, tmp_path, monkeypatch, *extra):
         with monkeypatch.context() as m:
@@ -844,7 +846,7 @@ class TestTwoProcesses:
 
     def test_every_thread_of_the_process_counts(self):
         code = (
-            "import threading; from techevo.report import _threads\n"
+            "import threading; from techevo._workers import _threads\n"
             "done = threading.Event(); alone = _threads()\n"
             "thread = threading.Thread(target=done.wait); thread.start()\n"
             "print(alone, _threads()); done.set(); thread.join(timeout=10)\n"
@@ -952,6 +954,113 @@ class TestTwoProcesses:
             _report_and_plots(long_pair, tmp_path)
         assert len(forks) == 1
 
+    def serial_simulate(self, d, monkeypatch, capsys, *options):
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            return _simulated(d, monkeypatch, capsys, *options)
+
+    @pytest.mark.parametrize("how", ["raises", "dies", "dies writing"])
+    def test_a_simulate_child_that_fails_gives_the_same_files(
+        self, tmp_path, monkeypatch, capsys, forks, how
+    ):
+        parent = os.getpid()
+        make, write = techevo.cli.generate_series, techevo.cli._write_text
+
+        def failing_make(spec, label):
+            if os.getpid() != parent and how == "raises":
+                raise RuntimeError("the child failed")
+            if os.getpid() != parent and how == "dies":
+                os._exit(3)
+            return make(spec, label)
+
+        def failing_write(path, text):
+            if os.getpid() != parent and how == "dies writing":
+                write(path, text[: len(text) // 2])
+                os._exit(3)
+            write(path, text)
+
+        monkeypatch.setattr(techevo.cli, "generate_series", failing_make)
+        monkeypatch.setattr(techevo.cli, "_write_text", failing_write)
+        parallel = _simulated(tmp_path / "parallel", monkeypatch, capsys, *NOISY)
+        assert len(forks) == 1
+        assert parallel[0] == EXIT_OK
+        assert parallel == self.serial_simulate(tmp_path / "serial", monkeypatch, capsys, *NOISY)
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            # Only the sub's values leave the floats, so only the child fails.
+            (
+                ["--sub-params", "3,0.2,1e308", "--noise-sigma", "0.5"],
+                "ConfigError: generated series 'synthetic-sub': non-finite point (",
+            ),
+            # Both fail: a host value underflows to 0 and a sub noise factor
+            # overflows.  The host's refusal comes first.
+            (
+                ["--noise-sigma", "200", "--seed", "19"],
+                "ConfigError: generated series 'synthetic-host': value 0.0 at "
+                "t=3.281640820410205 is not positive\n",
+            ),
+        ],
+        ids=["sub", "host-and-sub"],
+    )
+    def test_a_failed_simulate_is_the_serial_error(
+        self, tmp_path, monkeypatch, capsys, forks, options, message
+    ):
+        parallel = _simulated(tmp_path / "parallel", monkeypatch, capsys, *options)
+        assert len(forks) == 1
+        code, (out, err), files, paths = parallel
+        assert (code, out, files, paths) == (EXIT_CONFIG, "", {}, [])
+        assert err.startswith(message) and err.count("\n") == 1
+        assert parallel == self.serial_simulate(tmp_path / "serial", monkeypatch, capsys, *options)
+
+    @pytest.mark.parametrize("command", ["simulate", "evolve", "report"])
+    def test_every_command_writes_the_same_bytes_with_and_without_a_worker(
+        self, long_pair, tmp_path, monkeypatch, capsys, forks, command
+    ):
+        if command == "simulate":
+            argv = ["simulate", "--n-points", "2000", *NOISY, "--out-host", "h", "--out-sub", "s"]
+        else:
+            argv = [command, "--host", long_pair[0], "--sub", long_pair[1], "--out", "r.json"]
+            argv += ["--plot", "p"] if command == "report" else []
+        runs = []
+        for pays in (True, False):
+            monkeypatch.setattr(techevo._workers, "fork_pays", lambda points: pays)
+            d = tmp_path / str(pays)
+            d.mkdir()
+            monkeypatch.chdir(d)
+            assert main(argv) == EXIT_OK
+            files = _tree(d)
+            if "r.json" in files:
+                files["r.json"] = re.sub(rb'"timestamp": "[^"]*"', b"", files["r.json"])
+            runs.append((capsys.readouterr(), files))
+        assert len(forks) == {"simulate": 1, "evolve": 0, "report": 1}[command]
+        assert runs[0] == runs[1]
+
+    def test_short_inputs_look_at_no_cpu_and_no_thread(self, monkeypatch):
+        def looked(*args):
+            raise AssertionError("fork_pays looked past the point count")
+
+        monkeypatch.setattr(os, "sched_getaffinity", looked, raising=False)
+        monkeypatch.setattr(os, "cpu_count", looked)
+        monkeypatch.setattr(techevo._workers, "_threads", looked)
+        assert techevo._workers.fork_pays(techevo._workers.FORK_MIN_POINTS - 1) is False
+
+
+#: simulate's noise, so that its two series differ in their draws.
+NOISY = ("--noise-sigma", "0.05")
+
+
+def _simulated(d, monkeypatch, capsys, *options):
+    """Run a 2 000-point simulate in a new directory ``d``; returns (exit
+    code, what it printed, every file it left with its bytes, every path)."""
+    d.mkdir()
+    with monkeypatch.context() as m:
+        m.chdir(d)
+        argv = ["simulate", "--n-points", "2000", *options]
+        code = main([*argv, "--out-host", "h.csv", "--out-sub", "s.csv"])
+    return code, tuple(capsys.readouterr()), _tree(d), _paths(d)
+
 
 def _paths(root):
     """Every path under ``root``: files, links and directories."""
@@ -1024,6 +1133,37 @@ class TestOneCommitPoint:
         argv = ["simulate", "--out-host", str(tmp_path / "h.csv"), "--out-sub"]
         _fails_as(error, [*argv, str(tmp_path / "s.csv")], capsys)
         assert (_tree(tmp_path), _paths(tmp_path)) == before
+
+    @pytest.mark.parametrize("error", _WRITE_ERRORS)
+    @pytest.mark.parametrize("path", ["forked", "serial"])
+    @pytest.mark.parametrize("name", ["h.csv", "s.csv"])
+    def test_a_failed_long_simulate_write_leaves_nothing(
+        self, tmp_path, monkeypatch, capsys, forks, name, path, error
+    ):
+        if path == "serial":
+            monkeypatch.delattr(os, "fork")
+        (tmp_path / "s.csv").write_text("an earlier series\n")
+        before = _tree(tmp_path), _paths(tmp_path)
+        _fail_writing(monkeypatch, name, error)
+        argv = ["simulate", "--n-points", "2000", "--out-host", str(tmp_path / "h.csv")]
+        _fails_as(error, [*argv, "--out-sub", str(tmp_path / "s.csv")], capsys)
+        assert (_tree(tmp_path), _paths(tmp_path)) == before
+        assert len(forks) == (1 if path == "forked" else 0)
+
+    @pytest.mark.parametrize("path", ["forked", "serial"])
+    def test_a_failed_host_write_comes_before_a_sub_that_overflows(
+        self, tmp_path, monkeypatch, capsys, forks, path
+    ):
+        # The host is written before the sub is made, so its write error
+        # is reported, not the sub's ConfigError.
+        if path == "serial":
+            monkeypatch.delattr(os, "fork")
+        _fail_writing(monkeypatch, "h.csv", "ENOSPC")
+        argv = ["simulate", "--n-points", "2000", "--sub-params", "3,0.2,1e308"]
+        argv += ["--noise-sigma", "0.5", "--out-host", str(tmp_path / "h.csv")]
+        _fails_as("ENOSPC", [*argv, "--out-sub", str(tmp_path / "s.csv")], capsys)
+        assert (_tree(tmp_path), _paths(tmp_path)) == ({}, [])
+        assert len(forks) == (1 if path == "forked" else 0)
 
     def test_an_output_that_is_a_fifo_is_written_in_place(self, tmp_path):
         if not hasattr(os, "mkfifo"):

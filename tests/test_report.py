@@ -126,7 +126,7 @@ class TestRunPipeline:
 
         monkeypatch.setattr("builtins.open", no_io)
         monkeypatch.setattr("os.open", no_io)
-        monkeypatch.setattr("techevo.report._host_and_sub", no_io)
+        monkeypatch.setattr("techevo.report.host_and_sub", no_io)
         assert run_pipeline(host, sub, k_search_factor=None)["logistic_fits"] is None
 
 

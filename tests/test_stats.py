@@ -61,7 +61,7 @@ class TestOlsSimple:
         x = [p[0] for p in points]
         y = [p[1] for p in points]
         assume(max(x) - min(x) > 1e-3)
-        _, slope, intercept, _ = _LineFit(x).fit(y)
+        _, slope, intercept, *_ = _LineFit(x).fit(y)
         residuals = [yi - (intercept + slope * xi) for xi, yi in zip(x, y)]
         scale = len(x) * max(1.0, max(abs(v) for v in y), max(abs(v) for v in x))
         assert abs(math.fsum(residuals)) < 1e-9 * scale
@@ -96,7 +96,7 @@ class TestOlsSimple:
         # correctly rounded; x * x is one IEEE-754 product everywhere.
         x = [0.0, 1.0, 2.0, 3.0]
         y = [0.6885526833201705, 0.09112051263863241, 0.5639483797158562, 0.6161450881383045]
-        sse, slope, intercept, _ = _LineFit(x).fit(y)
+        sse, slope, intercept, *_ = _LineFit(x).fit(y)
         residuals = [yi - (intercept + slope * xi) for xi, yi in zip(x, y)]
         # The data tell the two squarings apart, so the check below bites.
         assert any(r ** 2 != r * r for r in residuals)

@@ -2,6 +2,8 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import coupling_residual, early_phase, rel_err, solve_time
 from techevo import (
@@ -15,7 +17,7 @@ from techevo import (
     serialize_fmt_csv,
 )
 from techevo.cli import EXIT_OK, main
-from techevo.synthetic import _MAX_POINTS
+from techevo.synthetic import _MAX_POINTS, generate_series
 
 HOST = LogisticParams(a=4.0, b=0.3, k=100.0)
 SUB = LogisticParams(a=3.0, b=0.2, k=50.0)
@@ -112,6 +114,38 @@ class TestBatchStream:
         assert main(args) == EXIT_OK
         digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (host, sub))
         assert digests == self.SIMULATE_DIGESTS[seed]
+
+
+class TestJumpAhead:
+    """Each series is made from its own start: the sub's generator is seeded
+    where the host's n normals (2n uniforms) leave the stream."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 300))
+    def test_a_jumped_generator_continues_the_stream(self, seed, n):
+        walked = SplitMix64(seed)
+        for _ in range(n):
+            walked.normal()
+        jumped = SplitMix64((seed + 2 * n * 0x9E3779B97F4A7C15) % 2**64)
+        assert [z.hex() for z in jumped.normals(5)] == [walked.normal().hex() for _ in range(5)]
+
+    @pytest.mark.parametrize(
+        "sigma, seed, n", [(0.0, 0, 21), (0.1, 42, 21), (0.05, 2**64 - 1, 4097)]
+    )
+    def test_each_series_is_drawn_from_the_one_stream(self, sigma, seed, n):
+        s = spec(noise_sigma=sigma, seed=seed, n_points=n)
+        dt = (s.t_end - s.t_start) / (n - 1)
+        ts = tuple(s.t_start + i * dt for i in range(n))
+        # One generator for both series, the host's draws first.
+        zs = SplitMix64(seed).normals(2 * n) if sigma else [0.0] * (2 * n)
+        factors = [math.exp(sigma * max(-5.0, min(5.0, z))) for z in zs]
+        host = tuple(logistic_value(HOST, t) * f for t, f in zip(ts, factors[:n]))
+        sub = tuple(logistic_value(SUB, t) * f for t, f in zip(ts, factors[n:]))
+        pair = generate_pair(s)
+        for label, values, made in (("host", host, pair.host), ("sub", sub, pair.sub)):
+            alone = generate_series(s, label)
+            assert alone == made
+            assert (alone.name, alone.ts, alone.values) == (f"synthetic-{label}", ts, values)
 
 
 class TestGeneratePair:
