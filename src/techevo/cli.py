@@ -19,9 +19,8 @@ command that fails changes no file.
 Processes
 ---------
 On long series ``simulate`` makes and writes the subsystem's series in a
-forked child while it makes the host's (``_workers.host_and_sub``), and
-``report`` fits and plots it in one (``run_pipeline``).  Outputs, messages
-and exit codes are those of one process.
+forked child while it makes the host's, and ``report`` fits and plots it
+in one (``run_pipeline``); ``_workers.host_and_sub`` states the contract.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ and ``emit_table`` take either.
 ``k_search_factor`` is None) and passes it to an optional ``plot`` hook,
 estimates the evolutionary coefficient and classifies the pathway at
 level ``alpha``; on long series the subsystem's fit and plot are made in
-one forked child (``_workers.host_and_sub``).
+one forked child, under ``_workers.host_and_sub``'s contract.
 The report serializes to strict JSON with floats at 12 significant
 digits (stable across platforms), a non-finite statistic written as the
 string "inf", "-inf" or "nan", and carries a SHA-256 digest over every
@@ -79,8 +79,9 @@ def run_pipeline(
     ``fit_logistic``; None fits no S-curve and leaves ``logistic_fits``
     None.  ``plot(label, series, params)``, if given, is called for
     "host", then "sub", right after that series' fit and in the process
-    that made it, with the fitted ``LogisticParams`` or None.  Writes no
-    file itself; the report names its inputs by the series' names.
+    that made it, with the fitted ``LogisticParams`` or None; the sub's
+    call may run twice (``_workers.host_and_sub``).  Writes no file
+    itself; the report names its inputs by the series' names.
     Errors propagate unchanged, in the order host fit, host plot, sub fit,
     sub plot, estimate, classify; the CLI maps them onto its exit codes.
     """

@@ -18,7 +18,7 @@ import techevo._workers
 import techevo.cli
 import techevo.report
 from conftest import FIXTURES
-from techevo import fit_logistic, parse_fmt_csv
+from techevo import LogisticParams, fit_logistic, parse_fmt_csv
 from techevo.cli import COMMANDS, EXIT_OK, PLOT_FILES, build_parser, main
 from techevo.errors import (
     AlignmentError,
@@ -1037,6 +1037,49 @@ class TestTwoProcesses:
         assert len(forks) == {"simulate": 1, "evolve": 0, "report": 1}[command]
         assert runs[0] == runs[1]
 
+    def test_the_sub_result_comes_from_the_child(self, long_pair, tmp_path, monkeypatch, forks):
+        parent = os.getpid()
+        fit, fitted_here = techevo.report.fit_logistic, []
+
+        def recording(series, factor):
+            if os.getpid() == parent:
+                fitted_here.append(series.name)
+            return fit(series, factor)
+
+        monkeypatch.setattr(techevo.report, "fit_logistic", recording)
+        assert _report_and_plots(long_pair, tmp_path)[0] == EXIT_OK
+        assert (len(forks), fitted_here) == (1, ["host"])
+
+    def test_a_result_marshal_refuses_is_made_again_here(self, forks):
+        def params(label, b):
+            return LogisticParams(0.0, b, 1.0)
+
+        points = techevo._workers.FORK_MIN_POINTS
+        results = techevo._workers.host_and_sub(params, 1.0, 2.0, points)
+        assert results == {"host": params("host", 1.0), "sub": params("sub", 2.0)}
+        assert len(forks) == 1
+
+    def test_the_worker_channel_imports_neither_pickle_nor_signal(self, tmp_path):
+        code = (
+            "import os, sys, threading\n"
+            "from techevo import _workers\n"
+            "from techevo.cli import main\n"
+            "fork, forks = os.fork, []\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "_workers._threads = threading.active_count\n"
+            "codes = [main(['simulate', '--n-points', '2000', '--noise-sigma', '0.05',\n"
+            "               '--out-host', 'h.csv', '--out-sub', 's.csv']),\n"
+            "         main(['report', '--host', 'h.csv', '--sub', 's.csv', '--plot', 'p'])]\n"
+            "print(codes, len(forks), sorted({'pickle', 'signal'} & set(sys.modules)))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+            cwd=tmp_path, capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        assert out.splitlines()[-1] == "[0, 0] 2 []"
+
     def test_short_inputs_look_at_no_cpu_and_no_thread(self, monkeypatch):
         def looked(*args):
             raise AssertionError("fork_pays looked past the point count")
@@ -1222,7 +1265,7 @@ def test_cli_imports_only_the_standard_library():
     assert "techevo.cli" in out
     # Kept off the start-up path: dataclasses alone pulls in inspect, ast,
     # dis and tokenize.
-    # pickle is imported only when report forks.
+    # pickle is never imported: a forked child's result comes back through marshal.
     # Outputs are staged without tempfile, which pulls in shutil and random.
     forbidden = {"dataclasses", "inspect", "datetime", "typing", "pathlib", "pickle"}
     assert not (forbidden | {"tempfile", "shutil", "random"}) & set(out)
