@@ -117,21 +117,58 @@ class AlignedPair(Record):
         return len(self.ts)
 
 
-def parse_fmt_csv(raw_text: str, series_name: str) -> FmtSeries:
-    """Parse ``t,value`` CSV text into an FmtSeries, sorted and validated by
-    ``FmtSeries``.
+#: Characters per block of the bulk parse, which cuts each block at a line end.
+#: A block's field strings are alive at once; 64 KB blocks parsed no faster
+#: and left a larger resident peak.
+_BLOCK = 1 << 14
+#: Every byte but "," and "\n", deleted to leave a block's separators.
+_NOT_SEPARATOR = bytes(range(256)).translate(None, b",\n")
+#: The separators of a block whose every line holds exactly one comma are a
+#: prefix of this, of odd length (the block's last line has no "\n").
+_SEPARATORS = b",\n" * (_BLOCK // 2 + 1)
 
-    Parsing checks only the text itself: the header, the field count and
-    that both fields are finite numbers.  Lines end at LF alone (a CRLF's
-    CR is stripped with the other blanks), so line numbers in those error
-    messages are 1-based and count lines as an editor shows them.
-    """
+
+def _bulk_fields(text: str) -> list[float] | None:
+    """The body's fields in order, t and value alternating, or None where
+    the text is not plain: not ASCII, a header other than ``t,value`` on a
+    first line of its own, a body line without exactly one comma (blank
+    lines too), a field ``float`` refuses, or fields whose sum is not
+    finite (a nan or inf among them, or an overflowing sum)."""
+    if not text.isascii():
+        return None
+    if text.startswith(CSV_HEADER + "\n"):
+        start = len(CSV_HEADER) + 1
+    elif text.startswith(CSV_HEADER + "\r\n"):
+        start = len(CSV_HEADER) + 2
+    else:
+        return None
+    end = len(text) - 1 if text.endswith("\n") else len(text)
+    fields: list[float] = []
+    while start < end:
+        stop = end if end - start <= _BLOCK else text.rfind("\n", start, start + _BLOCK)
+        if stop < 0:  # a line longer than a block
+            return None
+        block = text[start:stop]
+        # One pass over the block's bytes checks every line's comma count.
+        separators = block.encode().translate(None, _NOT_SEPARATOR)
+        if not (len(separators) % 2 and _SEPARATORS.startswith(separators)):
+            return None
+        try:
+            fields.extend(map(float, block.replace("\n", ",").split(",")))
+        except ValueError:
+            return None
+        start = stop + 1
+    return fields if math.isfinite(sum(fields)) else None
+
+
+def _parse_lines(raw_text: str, series_name: str) -> FmtSeries:
+    """``parse_fmt_csv`` one line at a time, naming the first bad line."""
     lines = raw_text.split("\n")
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
         raise MalformedRow("line 1: empty input, expected header 't,value'")
-    header = lines[0].strip().lstrip("﻿")
+    header = lines[0].strip().lstrip("\ufeff")
     if header != CSV_HEADER:
         raise MalformedRow(f"line 1: expected header {CSV_HEADER!r}, got {header!r}")
 
@@ -156,6 +193,28 @@ def parse_fmt_csv(raw_text: str, series_name: str) -> FmtSeries:
         ts.append(t)
         values.append(v)
     return FmtSeries(series_name, ts, values)
+
+
+def parse_fmt_csv(raw_text: str, series_name: str) -> FmtSeries:
+    """Parse ``t,value`` CSV text into an FmtSeries, sorted and validated by
+    ``FmtSeries``.
+
+    Parsing checks only the text itself: the header, the field count and
+    that both fields are finite numbers.  Lines end at LF alone (a CRLF's
+    CR is stripped with the other blanks), so line numbers in those error
+    messages are 1-based and count lines as an editor shows them.
+
+    A plain text is parsed in bulk, about 16 KB at a time: ASCII, the
+    header ``t,value`` alone on the first line (LF or CRLF), exactly one
+    comma on every later line, no blank line, and fields that are all
+    finite numbers with a finite sum.  Every other text, and any text the
+    bulk path refuses part way, is parsed again from the start one line
+    at a time, so each error keeps its message and line number.
+    """
+    fields = _bulk_fields(raw_text)
+    if fields is None:
+        return _parse_lines(raw_text, series_name)
+    return FmtSeries(series_name, fields[0::2], fields[1::2])
 
 
 def serialize_fmt_csv(series: FmtSeries) -> str:

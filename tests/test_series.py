@@ -2,9 +2,10 @@ import copy
 import math
 import pickle
 from operator import itemgetter
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import sample_series, scaled
@@ -22,6 +23,7 @@ from techevo import (
     parse_fmt_csv,
     serialize_fmt_csv,
 )
+from techevo import series
 from techevo._record import Record
 from techevo.errors import (
     DuplicateTimestamp,
@@ -114,6 +116,115 @@ class TestParse:
         s = parse_fmt_csv("t,value\n2,4\n0,1\n1,2", "s")
         assert s.ts == (0.0, 1.0, 2.0)
         assert s.values == (1.0, 2.0, 4.0)
+
+    def test_balanced_commas_are_checked_per_line(self):
+        # Three lines, three commas, yet line 2 holds two and line 3 none.
+        with pytest.raises(
+            MalformedRow, match="^line 2: expected 2 comma-separated fields, got 3$"
+        ):
+            parse_fmt_csv("t,value\n0,1,2\n3\n4,5\n6,7\n", "s")
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("xxxxxxx,1.5", "'xxxxxxx,1.5' is not a pair of numbers"),
+            ("00000001.55", "expected 2 comma-separated fields, got 1"),
+            ("0000001,1,5", "expected 2 comma-separated fields, got 3"),
+            ("0000001,nan", "'0000001,nan' contains a non-finite number"),
+        ],
+        ids=["not-a-number", "one-field", "three-fields", "nan"],
+    )
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_bad_row_near_a_block_boundary_names_its_line(self, row, message, shift):
+        # Rows of 12 characters with their newline: a block ends at the
+        # last newline inside it, so row `first` opens the second block.
+        rows = [f"{i:07d},1.5" for i in range(series._BLOCK // 12 + 100)]
+        first = series._BLOCK // 12
+        assert 12 * first <= series._BLOCK < 12 * first + 12
+        rows[first + shift] = row
+        with pytest.raises(MalformedRow, match=f"^line {first + shift + 2}: {message}$"):
+            parse_fmt_csv("\n".join(["t,value", *rows, ""]), "s")
+
+    def test_rows_whose_sum_overflows(self):
+        s = parse_fmt_csv("t,value\n1e308,1.5e308\n1.2e308,1.7e308\n1.4e308,1.7e308\n", "s")
+        assert s.points == ((1e308, 1.5e308), (1.2e308, 1.7e308), (1.4e308, 1.7e308))
+
+    @pytest.mark.parametrize(
+        "text, bulk",
+        [
+            ("t,value\r\n0,1\r\n1,2.5\r\n2,4\r\n", True),
+            ("t,value\n0,1\n1,2.5\n2,4", True),
+            ("\ufefft,value\n0,1\n1,2.5\n2,4\n", False),
+            ("t,value\n0,1\n\n1,2.5\n 2 , 4 \n\n", False),
+        ],
+        ids=["CRLF", "no-final-newline", "BOM", "blank-lines-and-padding"],
+    )
+    def test_text_variants_give_the_same_points(self, text, bulk):
+        s = parse_fmt_csv(text, "s")
+        assert s == series._parse_lines(text, "s")
+        assert s.points == ((0.0, 1.0), (1.0, 2.5), (2.0, 4.0))
+        # Which texts the bulk path takes, so that plain ones stay fast.
+        assert (series._bulk_fields(text) is not None) is bulk
+
+    def test_written_series_take_the_bulk_path(self):
+        s = sample_series(LogisticParams(4.0, 0.3, 100.0), [i / 7 for i in range(8000)], "s")
+        text = serialize_fmt_csv(s)
+        assert len(text) > 2 * series._BLOCK
+        assert series._bulk_fields(text) == [x for p in s.points for x in p]
+        assert parse_fmt_csv(text, "s") == s
+
+
+def _parse_outcome(parse, text):
+    """The points' exact bits, or the exception's type and message."""
+    try:
+        s = parse(text, "s")
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [x.hex() for x in s.ts + s.values]
+
+
+_NUMBER = st.one_of(
+    st.integers(-3, 40).map(str), st.floats(allow_nan=False, allow_infinity=False).map(repr)
+)
+_ODD = st.sampled_from([
+    "nan", "inf", "-inf", "1e999", "-1e999", "1e308", "1.7e308", "-0.0",
+    "1_0", " 2", "3 ", "\t4", "5\x1c", "\x0c6", "\u0667", "x", "",
+])
+_PLAIN_ROW = st.tuples(_NUMBER, _NUMBER).map(",".join)
+_ROW = st.one_of(
+    _PLAIN_ROW,
+    st.tuples(st.one_of(_NUMBER, _ODD), st.one_of(_NUMBER, _ODD)).map(",".join),
+    st.sampled_from(["", " ", "\r", "0,1,2", "3", ",", "1,,2", "\u2028", "7,8\x85"]),
+)
+_END = st.sampled_from(["\n", "\r\n"])
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    # Most headers and half the bodies are plain, so the bulk path takes
+    # many of these texts.
+    header=st.sampled_from(
+        ["t,value"] * 4 + ["t,value\r", "\ufefft,value", " t,value", "t,val"]
+    ),
+    rows=st.one_of(
+        st.lists(st.tuples(_PLAIN_ROW, _END), max_size=12),
+        st.lists(st.tuples(_ROW, _END), max_size=12),
+    ),
+    final_newline=st.booleans(),
+    block=st.sampled_from([16, 64, 256, series._BLOCK]),
+)
+@example(header="t,value", rows=[("0,1,2", "\n"), ("3", "\n"), ("4,5", "\n")],
+         final_newline=True, block=64)
+@example(header="t,value", rows=[("0,1e308", "\n"), ("1,1.7e308", "\n"), ("2,1", "\n")],
+         final_newline=False, block=64)
+def test_bulk_parse_agrees_with_the_line_loop(header, rows, final_newline, block):
+    text = header + "\n" + "".join(row + end for row, end in rows)
+    if not final_newline:
+        text = text.removesuffix("\n")
+    # Short blocks put block boundaries inside these short texts.
+    with mock.patch.object(series, "_BLOCK", block):
+        got = _parse_outcome(parse_fmt_csv, text)
+    assert got == _parse_outcome(series._parse_lines, text)
 
 
 class TestSeriesInvariants:
