@@ -12,6 +12,13 @@ back-to-back calls as take about 2 ms.  Beside the times the file
 holds counts that do not depend on the machine: SSE evaluations and
 ``k_at_bound`` per fit, points, and the bytes of each output.
 
+Beside the layers each size has ``cli_report_s``, one whole in-process
+``main(["report", ..., "--plot", ...])`` on the files ``simulate`` wrote,
+and ``forks``, the ``os.fork`` calls of ``simulate``, ``report --plot``
+and ``evolve``, on whatever process path this machine takes.  The file
+also holds ``import_s``, the median time of ``import techevo.cli`` in a
+fresh interpreter with its bytecode cached.
+
 Usage::
 
     PYTHONPATH=src python3 scripts/bench.py --label LABEL
@@ -24,12 +31,15 @@ Compare times only between files written on the same machine.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -47,6 +57,7 @@ from techevo import (
     run_pipeline,
     serialize_fmt_csv,
 )
+from techevo import cli
 from techevo.cli import build_parser
 from techevo.synthetic import generate_series
 
@@ -90,8 +101,50 @@ def _median_s(call, repeats: int) -> float:
     return statistics.median(samples)
 
 
-def measure(n: int, repeats: int) -> dict:
-    """The layer times (seconds) and the counts at size n."""
+def _import_s(repeats: int, work: Path) -> float:
+    """Median time of ``import techevo.cli`` in a fresh interpreter, with
+    the bytecode cached (under ``work``) by a first child not counted."""
+    code = "import time; t = time.perf_counter(); import techevo.cli; "
+    code += "print(time.perf_counter() - t)"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPATH"] = str(Path(techevo.__file__).resolve().parent.parent)
+    env["PYTHONPYCACHEPREFIX"] = str(work / "pycache")
+    times = [
+        float(subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout)
+        for _ in range(repeats + 1)
+    ]
+    return statistics.median(times[1:])
+
+
+def _cli(n: int, repeats: int, work: Path) -> tuple[float, dict]:
+    """The time of one whole in-process ``report --plot`` at size n, and
+    the ``os.fork`` calls of each command, with their files in ``work``."""
+    host, sub = str(work / "host.csv"), str(work / "sub.csv")
+    pair = ["--host", host, "--sub", sub, "--out", str(work / "r.json")]
+    commands = {
+        "simulate": ["simulate", "--n-points", str(n), "--noise-sigma", str(NOISE_SIGMA),
+                     "--seed", str(SEED), "--out-host", host, "--out-sub", sub],
+        "report": ["report", *pair, "--plot", str(work / "plots")],
+        "evolve": ["evolve", *pair],
+    }
+    fork, calls, forks = os.fork, [], {}
+    os.fork = lambda: calls.append(1) or fork()
+    try:
+        for name, argv in commands.items():
+            calls.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.main(argv) != cli.EXIT_OK:
+                    raise RuntimeError(f"{name} failed at n={n}")
+            forks[name] = len(calls)
+    finally:
+        os.fork = fork
+    return _median_s(lambda: cli.main(commands["report"]), repeats), forks
+
+
+def measure(n: int, repeats: int, work: Path) -> dict:
+    """The layer times (seconds), the counts and the forks at size n."""
     spec = _spec(n)
     host, sub = generate_series(spec, "host"), generate_series(spec, "sub")
     texts = serialize_fmt_csv(host), serialize_fmt_csv(sub)
@@ -116,6 +169,7 @@ def measure(n: int, repeats: int) -> dict:
                          emit_plot_data(sub, fits[1].params)),
     }
     seconds = {f"{name}_s": _median_s(calls[name], repeats) for name in LAYERS}
+    seconds["cli_report_s"], forks = _cli(n, repeats, work)
     counts = {
         "points": len(host) + len(sub),
         "fit_host_sse_evals": fits[0].sse_evals,
@@ -126,7 +180,7 @@ def measure(n: int, repeats: int) -> dict:
         "json_bytes": len(report_to_json(report).encode()),
         "plot_bytes": sum(len(p.csv.encode()) + len(p.svg.encode()) for p in plots),
     }
-    return {"seconds": seconds, "counts": counts}
+    return {"seconds": seconds, "counts": counts, "forks": forks}
 
 
 def _commit() -> str:
@@ -160,13 +214,16 @@ def main(argv: list[str] | None = None) -> int:
         "repeats": repeats,
         "seed": SEED,
         "noise_sigma": NOISE_SIGMA,
-        "sizes": {str(n): measure(n, repeats) for n in sizes},
     }
+    with tempfile.TemporaryDirectory() as work:
+        record["import_s"] = _import_s(repeats, Path(work))
+        record["sizes"] = {str(n): measure(n, repeats, Path(work)) for n in sizes}
     out = args.out or Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    print(f"import techevo.cli: {record['import_s'] * 1e3:.1f} ms")
     for n, row in record["sizes"].items():
         times = "  ".join(f"{k[:-2]} {v * 1e3:.3f}" for k, v in row["seconds"].items())
-        print(f"n={n} (ms): {times}")
+        print(f"n={n} (ms): {times}  forks {row['forks']}")
     print(f"wrote {out}")
     return 0
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 import marshal
 import os
 
-#: Fewest points the shorter series needs before ``host_and_sub`` forks.  A
-#: fork, pipe and reap take about 2.3 ms.  Forked/serial time at n = 1 024,
-#: 2 048, 4 096, 10 000 on a 2-core VM (40 interleaved pairs each): report
-#: --plot 0.78, 0.83, 0.76, 0.67; simulate 1.13, 0.85, 0.74, 0.70.  Under
-#: ``taskset -c 0`` (one CPU, 30 pairs) every ratio is 1.04-1.65.
+#: Fewest points the shorter series needs before ``host_and_sub`` forks; the
+#: timings are in README.  simulate may lose at 1 024 points, by at most
+#: about a fork's own cost (2.3 ms), yet one count serves both stages: a
+#: second would be a tuning constant that no benchmark workload checks, since
+#: none runs between 21 and 10 000 points.
 FORK_MIN_POINTS = 1024
 
 

@@ -281,7 +281,10 @@ def emit_plot_data(series: FmtSeries, params: LogisticParams | None = None) -> P
             [f"{t!r},{v!r},{f!r}\n" for t, v, f in zip(ts, obs, fitted)]
         )
         y_high = max(max(obs), max(fitted))
-    y_high *= 1.05
+    # Values are scaled down by a power of two, as the times are below, so
+    # that 1.05 * max stays finite.
+    v_scale = math.ldexp(1.0, -max(0, math.frexp(y_high)[1]))
+    y_high = y_high * v_scale * 1.05
 
     t0, t1 = ts[0], ts[-1]
     # Times are scaled by a power of two into [-1, 1] before they are
@@ -293,7 +296,7 @@ def emit_plot_data(series: FmtSeries, params: LogisticParams | None = None) -> P
     s0 = math.ldexp(t0, -t_exp)
     span = math.ldexp(t1, -t_exp) - s0
     # A point (t, v) is drawn at x = x0 + (t scaled - s0) / span * x_width
-    # and y = y0 - v / y_high * y_height.
+    # and y = y0 - v scaled / y_high * y_height.
     ldexp = math.ldexp
     x0, x_width = _SVG_MARGIN, _SVG_W - 2 * _SVG_MARGIN
     y0, y_height = _SVG_H - _SVG_MARGIN, _SVG_H - 2 * _SVG_MARGIN
@@ -310,7 +313,7 @@ def emit_plot_data(series: FmtSeries, params: LogisticParams | None = None) -> P
         ]
         pts = " ".join([
             f"{x0 + (ldexp(t, -t_exp) - s0) / span * x_width:.2f},"
-            f"{y0 - logistic_value(params, t) / y_high * y_height:.2f}"
+            f"{y0 - logistic_value(params, t) * v_scale / y_high * y_height:.2f}"
             for t in curve_ts
         ])
         parts.append(
@@ -318,7 +321,7 @@ def emit_plot_data(series: FmtSeries, params: LogisticParams | None = None) -> P
         )
     parts += [
         f'<circle cx="{x0 + (ldexp(t, -t_exp) - s0) / span * x_width:.2f}" '
-        f'cy="{y0 - v / y_high * y_height:.2f}" r="3" fill="#d62728"/>'
+        f'cy="{y0 - v * v_scale / y_high * y_height:.2f}" r="3" fill="#d62728"/>'
         for t, v in zip(ts, obs)
     ]
     parts.append("</svg>")

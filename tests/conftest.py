@@ -6,16 +6,22 @@ functions vs. the in-package continued fraction) so agreement is evidence,
 not tautology.  The closed forms the acceptance criteria check against (the
 S-curve inverse, the odds coupling, the early-phase filter, the rescaling)
 call nothing in the package; ``FmtSeries`` and ``align`` only hold results.
+
+``process_path`` sets the process path of the commands a test runs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import warnings
 from itertools import compress
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import techevo._workers
 from techevo import FmtSeries, LogisticParams, align, logistic_value
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -122,3 +128,37 @@ def ols_normal_equations(x, y) -> dict:
         "r2": 1.0 - sse / sst if sst > 0 else 1.0,
         "see": math.sqrt(s2),
     }
+
+
+class ProcessPath:
+    """A test's process path and the ``os.fork`` calls its commands made."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.forks: list[int] = []
+
+    def assert_forks(self, count: int) -> None:
+        """``count`` forks so far on the forked path, none on the serial one."""
+        want = count if self.name == "forked" else 0
+        assert len(self.forks) == want, f"{len(self.forks)} forks on the {self.name} path"
+
+
+@pytest.fixture
+def process_path(request, monkeypatch):
+    """The process path of every command a test runs: "serial", or
+    "forked" where the test parametrizes this fixture (``indirect=True``),
+    which starts the sub's child wherever a command has work for one, even
+    on 21 points.  Neither the CPUs nor numpy's BLAS threads choose it.
+    Afterwards no child may be left and no file descriptor open."""
+    path = ProcessPath(getattr(request, "param", "serial"))
+    monkeypatch.setattr(techevo._workers, "fork_pays", lambda points: path.name == "forked")
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: path.forks.append(1) or fork())
+    fds = sorted(os.listdir("/dev/fd"))
+    with warnings.catch_warnings():
+        # Python 3.12+ warns of a fork in a process of several threads.
+        warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
+        yield path
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/dev/fd")) == fds

@@ -243,7 +243,7 @@ def test_criterion_7_scale_invariance():
     )
 
 
-def test_criterion_8_report_determinism(tmp_path):
+def test_criterion_8_report_determinism(tmp_path, process_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     plots1, plots2 = tmp_path / "p1", tmp_path / "p2"
     args = ["report", "--host", str(SYNTH_HOST), "--sub", str(SYNTH_SUB)]
@@ -263,6 +263,7 @@ def test_criterion_8_report_determinism(tmp_path):
         json_identical and svg_identical and digest == GOLDEN_DIGEST,
         f"digest {digest}",
     )
+    process_path.assert_forks(2)
 
 
 def _default_report(host, sub, tmp_path) -> dict:
@@ -271,16 +272,18 @@ def _default_report(host, sub, tmp_path) -> dict:
     return json.loads(out.read_text(encoding="utf-8"))
 
 
-def test_power_fixture_report_digest(tmp_path):
+def test_power_fixture_report_digest(tmp_path, process_path):
     report = _default_report(POWER_HOST, POWER_SUB, tmp_path)
     assert report["digest"] == determinism_digest(report) == POWER_DIGEST
+    process_path.assert_forks(1)
 
 
-def test_saved_schema_2_report_renders_alike(tmp_path):
+def test_saved_schema_2_report_renders_alike(tmp_path, process_path):
     # Schema 2 also held the file names, the units (always ""), with_logistic
     # and the pathway's copies of evolution's b and p_b_vs_1.
     report = _default_report(SYNTH_HOST, SYNTH_SUB, tmp_path)
     assert report["digest"] == GOLDEN_DIGEST
+    process_path.assert_forks(1)
     ev, prov = report["evolution"], report["provenance"]
     old = {
         **report,

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import math
 import os
@@ -29,6 +30,9 @@ from techevo.errors import (
     TechEvoError,
 )
 from techevo.synthetic import _MAX_POINTS
+from test_acceptance import GOLDEN_DIGEST
+from test_report import PLOT_DIGESTS
+from test_synthetic import SIMULATE_DIGESTS
 
 EXIT_INPUT = InputError.exit_code
 EXIT_ALIGNMENT = AlignmentError.exit_code
@@ -57,18 +61,20 @@ NOT_UTF8 = b"t,value\n0,1\n1,\xff\n2,3\n"
 
 
 class TestHappyPaths:
-    def test_report_json(self, capsys):
+    def test_report_json(self, capsys, process_path):
         assert main(["report", "--host", SYNTH[0], "--sub", SYNTH[1]]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["pathway"]["label"] == "Underdevelopment"
         assert payload["digest"].startswith("sha256:")
+        process_path.assert_forks(1)
 
-    def test_report_table(self, capsys):
+    def test_report_table(self, capsys, process_path):
         args = ["report", "--host", SYNTH[0], "--sub", SYNTH[1], "--format", "table"]
         assert main(args) == EXIT_OK
         out = capsys.readouterr().out
         assert "Evolutionary coefficient β=B" in out
         assert "Pathway:" in out
+        process_path.assert_forks(1)
 
     def test_evolve(self, capsys):
         assert main(["evolve", "--host", POWER[0], "--sub", POWER[1]]) == EXIT_OK
@@ -104,7 +110,7 @@ class TestHappyPaths:
         assert main(["fit", SYNTH[0], "--name", "lamps", "--format", "table"]) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[0] == "series: lamps (n=26)"
 
-    def test_simulate_then_report(self, tmp_path, capsys):
+    def test_simulate_then_report(self, tmp_path, capsys, process_path):
         host = str(tmp_path / "h.csv")
         sub = str(tmp_path / "s.csv")
         assert (
@@ -120,8 +126,9 @@ class TestHappyPaths:
         assert main(["report", "--host", host, "--sub", sub]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["inputs"]["n_aligned"] == 21
+        process_path.assert_forks(2)
 
-    def test_report_out_file_and_plots(self, tmp_path, capsys):
+    def test_report_out_file_and_plots(self, tmp_path, capsys, process_path):
         out = tmp_path / "report.json"
         plots = tmp_path / "plots"
         code = main(
@@ -134,6 +141,7 @@ class TestHappyPaths:
         assert json.loads(out.read_text())["schema_version"] == 3
         names = sorted(p.name for p in plots.iterdir())
         assert names == ["host.csv", "host.svg", "sub.csv", "sub.svg"]
+        process_path.assert_forks(1)
 
     def test_plot_path_that_cannot_be_a_directory_writes_no_report(self, tmp_path, capsys):
         not_a_dir = tmp_path / "file"
@@ -157,7 +165,7 @@ class TestHappyPaths:
         assert captured.err.count("IsADirectoryError") == 2
 
     def test_out_file_in_a_missing_directory_writes_no_plots(
-        self, tmp_path, capsys, monkeypatch
+        self, tmp_path, capsys, monkeypatch, process_path
     ):
         plots = tmp_path / "plots"
         args = ["report", "--host", SYNTH[0], "--sub", SYNTH[1], "--plot", str(plots)]
@@ -168,6 +176,7 @@ class TestHappyPaths:
         monkeypatch.chdir(tmp_path)
         assert main([*args, "--out", "r.json"]) == EXIT_OK
         assert (tmp_path / "r.json").exists() and (plots / "sub.svg").exists()
+        process_path.assert_forks(1)
 
     def test_out_path_that_is_a_directory_writes_no_plots(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -200,7 +209,7 @@ class TestHappyPaths:
         assert "inf (<0.001)" in techevo.emit_table(report)
 
     @pytest.mark.parametrize("argv", [["evolve"], ["report", "--no-logistic"]])
-    def test_overflowing_constant_a_is_strict_json(self, tmp_path, argv):
+    def test_overflowing_constant_a_is_strict_json(self, tmp_path, argv, process_path):
         host = write_csv(tmp_path / "h.csv", OVERFLOW_HOST)
         sub = write_csv(tmp_path / "s.csv", OVERFLOW_SUB)
         out = tmp_path / "r.json"
@@ -210,6 +219,7 @@ class TestHappyPaths:
         assert ev["a"] == "inf" and math.isfinite(ev["log_a"]) and ev["log_a"] > 709.8
         assert techevo.determinism_digest(report) == report["digest"]
         assert "Pathway:" in techevo.emit_table(report)
+        process_path.assert_forks(0)
 
     @pytest.mark.parametrize(
         "name, stem",
@@ -225,7 +235,7 @@ class TestHappyPaths:
             inputs = json.loads(capsys.readouterr().out)["inputs"]
             assert inputs["host_name"] == inputs["sub_name"] == stem
 
-    def test_plot_determinism(self, tmp_path):
+    def test_plot_determinism(self, tmp_path, process_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         for d in (a_dir, b_dir):
             main(
@@ -236,8 +246,9 @@ class TestHappyPaths:
             )
         for name in ("host.csv", "host.svg", "sub.csv", "sub.svg"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+        process_path.assert_forks(2)
 
-    def test_plot_of_overflowing_time_span_is_finite(self, tmp_path):
+    def test_plot_of_overflowing_time_span_is_finite(self, tmp_path, process_path):
         wide = write_csv(tmp_path / "wide.csv", ["-1.7e308,1", "0,2", "1.7e308,3"])
         plots = tmp_path / "plots"
         args = ["report", "--host", wide, "--sub", wide, "--no-logistic"]
@@ -245,8 +256,11 @@ class TestHappyPaths:
         for name in ("host.svg", "sub.svg"):
             svg = (plots / name).read_text()
             assert "nan" not in svg and "inf" not in svg
+        process_path.assert_forks(1)
 
     def test_report_plot_reads_each_input_once(self, tmp_path, monkeypatch):
+        # Counts this process's reads only: takes no process_path, and these
+        # short inputs keep the command in one process.
         reads = []
         read_text = techevo.cli._read_text
 
@@ -320,19 +334,27 @@ class TestExitCodes:
         assert code == EXIT_ALIGNMENT
         assert "InsufficientOverlap" in capsys.readouterr().err
 
-    def test_fitting_error(self, tmp_path, capsys):
+    def test_fitting_error(self, tmp_path, capsys, process_path):
         down = write_csv(tmp_path / "down.csv", ["0,9", "1,5", "2,2", "3,1"])
         up = write_csv(tmp_path / "up.csv", ["0,1", "1,2", "2,4", "3,8"])
         code = main(["report", "--host", down, "--sub", up])
         assert code == EXIT_FITTING
         assert "NotSShaped" in capsys.readouterr().err
+        # Only the sub falls: its fit fails in the child, and again here.
+        plots = tmp_path / "p"
+        assert main(["report", "--host", up, "--sub", down, "--plot", str(plots)]) == EXIT_FITTING
+        err = capsys.readouterr().err
+        assert err.startswith("NotSShaped: series 'down': ") and err.count("\n") == 1
+        assert not plots.exists()
+        process_path.assert_forks(2)
 
-    def test_overflowing_times_are_a_fitting_error(self, tmp_path, capsys):
+    def test_overflowing_times_are_a_fitting_error(self, tmp_path, capsys, process_path):
         huge = write_csv(tmp_path / "huge.csv", ["-1e300,1", "0,2", "1e300,3"])
         for args in (["fit", huge], ["report", "--host", huge, "--sub", huge]):
             assert main(args) == EXIT_FITTING
             assert "FittingError" in capsys.readouterr().err
         assert main(["evolve", "--host", huge, "--sub", huge]) == EXIT_OK
+        process_path.assert_forks(1)
 
     def test_log_odds_overflow_is_a_fitting_error(self, tmp_path, capsys):
         # A maximum near 1.8e307 makes the ceiling max * 10 overflow.
@@ -348,7 +370,7 @@ class TestExitCodes:
         assert main(["fit", tiny]) == EXIT_OK
         assert abs(json.loads(capsys.readouterr().out)["fit"]["k"] - 2.0) < 1e-9
 
-    def test_underflowing_time_spread_is_a_fitting_error(self, tmp_path, capsys):
+    def test_underflowing_time_spread_is_a_fitting_error(self, tmp_path, capsys, process_path):
         # The centred squares of these times underflow to zero, so the line
         # fit's sum of squares is 0 although the times are distinct.
         close = write_csv(tmp_path / "close.csv", ["0,1", "1e-165,2", "2e-165,3"])
@@ -357,6 +379,7 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("FittingError: ") and "'close'" in err
         assert main(["evolve", "--host", close, "--sub", close]) == EXIT_OK
+        process_path.assert_forks(1)
 
     def test_estimation_error(self, tmp_path, capsys):
         const = write_csv(tmp_path / "const.csv", ["0,5", "1,5", "2,5"])
@@ -365,10 +388,12 @@ class TestExitCodes:
         assert code == EXIT_ESTIMATION
         assert "DegenerateX" in capsys.readouterr().err
 
-    def test_config_error(self, capsys):
+    def test_config_error(self, capsys, process_path):
+        # alpha is checked where the pathway is classified, after the fits.
         code = main(["report", "--host", SYNTH[0], "--sub", SYNTH[1], "--alpha", "2"])
         assert code == EXIT_CONFIG
         assert "InvalidAlpha" in capsys.readouterr().err
+        process_path.assert_forks(1)
         for factor in ("1.0", "inf"):
             assert main(["fit", SYNTH[0], "--k-search-factor", factor]) == EXIT_CONFIG
             err = capsys.readouterr().err
@@ -417,7 +442,7 @@ class TestExitCodes:
         ],
     )
     def test_simulate_value_outside_the_floats_is_a_config_error(
-        self, tmp_path, capsys, monkeypatch, options
+        self, tmp_path, capsys, monkeypatch, options, process_path
     ):
         monkeypatch.chdir(tmp_path)
         host, sub = tmp_path / "h.csv", tmp_path / "s.csv"
@@ -427,6 +452,32 @@ class TestExitCodes:
         assert err.startswith("ConfigError: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+        # Refused with the spec or the file names, before any child starts,
+        # or where each series is made (a value or a noise factor), the
+        # sub's in the child.
+        process_path.assert_forks(int("generated series" in err or "noise factor" in err))
+
+    @pytest.mark.parametrize(
+        "options, fault",
+        [
+            # Only the sub's values leave the floats.
+            (["--sub-params", "3,0.2,1e308", "--noise-sigma", "0.5"], "'synthetic-sub'"),
+            # A host value underflows to 0 and a sub noise factor overflows:
+            # the host's refusal comes first.
+            (["--noise-sigma", "200", "--seed", "19"], "'synthetic-host': value 0.0"),
+        ],
+        ids=["sub", "host-and-sub"],
+    )
+    def test_a_failed_simulate_names_the_first_series_at_fault(
+        self, tmp_path, capsys, monkeypatch, process_path, options, fault
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", "--n-points", "2000", *options, "--out-host", "h", "--out-sub", "s"]
+        assert main(argv) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert (out, list(tmp_path.iterdir())) == ("", [])
+        assert err.startswith(f"ConfigError: generated series {fault}") and err.count("\n") == 1
+        process_path.assert_forks(1)
 
     def test_simulate_output_that_cannot_be_written_writes_nothing(
         self, tmp_path, capsys, monkeypatch
@@ -443,7 +494,9 @@ class TestExitCodes:
             assert [p.name for p in tmp_path.iterdir()] == ["d"]
             assert list((tmp_path / "d").iterdir()) == []
 
-    def test_out_file_that_is_a_plot_file_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+    def test_out_file_that_is_a_plot_file_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch, process_path
+    ):
         monkeypatch.chdir(tmp_path)
         args = ["report", "--host", SYNTH[0], "--sub", SYNTH[1]]
         # Refused before the --plot directory is made...
@@ -458,6 +511,7 @@ class TestExitCodes:
             assert {n: (tmp_path / "plots" / n).read_bytes() for n in PLOT_FILES} == plots
         err = capsys.readouterr().err
         assert err.count("ConfigError: ") == 1 + len(PLOT_FILES) and "Traceback" not in err
+        process_path.assert_forks(1)
 
     def test_k_search_factor_only_where_a_fit_runs(self, capsys):
         # evolve and report --no-logistic fit no S-curve, so the bound is refused.
@@ -757,92 +811,64 @@ class TestReportDeterminism:
         assert json.loads(texts[0])["provenance"]["config"]["k_search_factor"] is None
 
 
-
-@pytest.fixture(scope="module")
-def long_pair(tmp_path_factory):
-    """A simulated 2 000-point pair, long enough for report to fork."""
-    d = tmp_path_factory.mktemp("long")
-    host, sub = str(d / "host.csv"), str(d / "sub.csv")
-    argv = ["simulate", "--n-points", "2000", "--noise-sigma", "0.05"]
-    assert main([*argv, "--out-host", host, "--out-sub", sub]) == EXIT_OK
-    return host, sub
-
-
 @pytest.fixture
-def forks(monkeypatch):
-    """Count os.fork calls, let the commands see two CPUs, and check
-    afterwards that no child and no file descriptor is left behind."""
-    calls = []
-    fork = os.fork
-
-    def counting():
-        calls.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    # Only the interpreter's threads count here, so numpy's BLAS threads in
-    # the test process do not keep a command in one process.
-    monkeypatch.setattr(techevo._workers, "_threads", threading.active_count)
-    fds = sorted(os.listdir("/dev/fd"))
-    yield calls
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert sorted(os.listdir("/dev/fd")) == fds
+def forks(process_path, monkeypatch):
+    """The os.fork calls made on the forked path, for the tests of the fork
+    itself, which run on that path alone."""
+    monkeypatch.setattr(techevo._workers, "fork_pays", lambda points: True)
+    return process_path.forks
 
 
-def _report_and_plots(pair, d, *extra):
-    """Run report on ``pair`` into ``d``; returns (exit code, the report
-    with the timestamp blanked, the plot files' bytes)."""
-    d.mkdir(exist_ok=True)
-    argv = ["report", "--host", pair[0], "--sub", pair[1], *extra]
-    code = main([*argv, "--out", str(d / "r.json"), "--plot", str(d / "p")])
-    if code != EXIT_OK:
-        return code, None, None
-    text = re.sub(r'"timestamp": "[^"]*"', '"timestamp": null', (d / "r.json").read_text())
-    return code, text, {name: (d / "p" / name).read_bytes() for name in PLOT_FILES}
+def _report(d):
+    """Run report on the synth pair into d/r.json and d/p; returns the exit
+    code."""
+    argv = ["report", "--host", SYNTH[0], "--sub", SYNTH[1]]
+    return main([*argv, "--out", str(d / "r.json"), "--plot", str(d / "p")])
 
 
-@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def _pinned(d):
+    """Whether ``_report(d)`` wrote the pinned report and plots."""
+    digest = json.loads((d / "r.json").read_text())["digest"]
+    plots = hashlib.sha256(b"".join((d / "p" / name).read_bytes() for name in PLOT_FILES))
+    return (digest, plots.hexdigest()) == (GOLDEN_DIGEST, PLOT_DIGESTS["synth", False])
+
+
 class TestTwoProcesses:
-    """On long series report fits and plots the sub, and simulate makes
-    and writes it, in a forked child; every output byte, exit code and
-    message is that of the serial path."""
+    """On long series report fits and plots the sub, and simulate makes and
+    writes it, in a forked child: the tests of the gate and of the fork."""
 
-    def serial(self, pair, tmp_path, monkeypatch, *extra):
-        with monkeypatch.context() as m:
-            m.delattr(os, "fork")
-            return _report_and_plots(pair, tmp_path / "serial", *extra)
+    @staticmethod
+    def gate(monkeypatch, cpus, threads):
+        """Whether the real ``fork_pays`` lets series of FORK_MIN_POINTS
+        points fork, shown ``cpus`` and ``threads()`` as this process's."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(techevo._workers, "_threads", threads)
+        return techevo._workers.fork_pays(techevo._workers.FORK_MIN_POINTS)
 
-    @pytest.mark.parametrize("extra", [(), ("--no-logistic",)], ids=["fits", "no-fits"])
-    def test_outputs_are_those_of_the_serial_path(
-        self, long_pair, tmp_path, monkeypatch, forks, extra
-    ):
-        parallel = _report_and_plots(long_pair, tmp_path / "parallel", *extra)
-        assert len(forks) == 1
-        assert parallel[0] == EXIT_OK
-        assert parallel == self.serial(long_pair, tmp_path, monkeypatch, *extra)
+    def test_short_series_stay_in_one_process(self, tmp_path, monkeypatch):
+        def fork():
+            raise AssertionError("a short series forked")
 
-    def test_short_series_stay_in_one_process(self, tmp_path, forks):
-        assert _report_and_plots(SYNTH, tmp_path)[0] == EXIT_OK
-        assert forks == []
+        assert self.gate(monkeypatch, {0, 1}, lambda: 1)
+        monkeypatch.setattr(os, "fork", fork)
+        assert _report(tmp_path) == EXIT_OK
 
-    def test_one_cpu_stays_in_one_process(self, long_pair, tmp_path, monkeypatch, forks):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert _report_and_plots(long_pair, tmp_path)[0] == EXIT_OK
-        assert forks == []
+    def test_one_cpu_stays_in_one_process(self, monkeypatch):
+        assert not self.gate(monkeypatch, {0}, lambda: 1)
 
-    def test_a_second_thread_keeps_one_process(self, long_pair, tmp_path, forks):
+    def test_a_second_thread_keeps_one_process(self, monkeypatch):
+        # Only the interpreter's threads count here: numpy's BLAS threads
+        # would keep this process from forking whatever the test did.
+        assert self.gate(monkeypatch, {0, 1}, threading.active_count)
         done = threading.Event()
         thread = threading.Thread(target=done.wait)
         thread.start()
         try:
-            assert _report_and_plots(long_pair, tmp_path)[0] == EXIT_OK
+            assert not self.gate(monkeypatch, {0, 1}, threading.active_count)
         finally:
             done.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
-        assert forks == []
 
     def test_every_thread_of_the_process_counts(self):
         code = (
@@ -858,19 +884,16 @@ class TestTwoProcesses:
         ).stdout
         assert out.split() == ["1", "2"]
 
-    def test_a_failed_fork_gives_the_same_report(self, long_pair, tmp_path, monkeypatch, forks):
+    def test_a_failed_fork_gives_the_same_report(self, tmp_path, monkeypatch, forks):
         def refuse():
             forks.append(1)
             raise OSError("fork refused")
 
         monkeypatch.setattr(os, "fork", refuse)
-        parallel = _report_and_plots(long_pair, tmp_path / "parallel")
-        assert len(forks) == 1
-        assert parallel == self.serial(long_pair, tmp_path, monkeypatch)
+        assert _report(tmp_path) == EXIT_OK
+        assert len(forks) == 1 and _pinned(tmp_path)
 
-    def test_a_child_that_dies_gives_the_same_report(
-        self, long_pair, tmp_path, monkeypatch, forks
-    ):
+    def test_a_child_that_dies_gives_the_same_report(self, tmp_path, monkeypatch, forks):
         parent = os.getpid()
         fit, plot = techevo.report.fit_logistic, techevo.cli.emit_plot_data
 
@@ -884,12 +907,11 @@ class TestTwoProcesses:
 
         monkeypatch.setattr(techevo.report, "fit_logistic", die_in_child(fit))
         monkeypatch.setattr(techevo.cli, "emit_plot_data", die_in_child(plot))
-        parallel = _report_and_plots(long_pair, tmp_path / "parallel")
-        assert len(forks) == 1
-        assert parallel == self.serial(long_pair, tmp_path, monkeypatch)
+        assert _report(tmp_path) == EXIT_OK
+        assert len(forks) == 1 and _pinned(tmp_path)
 
     def test_a_child_that_dies_writing_its_plot_gives_the_same_files(
-        self, long_pair, tmp_path, monkeypatch, forks
+        self, tmp_path, monkeypatch, forks
     ):
         parent = os.getpid()
         write = techevo.cli._write_text
@@ -901,46 +923,16 @@ class TestTwoProcesses:
             write(path, text)
 
         monkeypatch.setattr(techevo.cli, "_write_text", die_halfway_in_child)
-        parallel = _report_and_plots(long_pair, tmp_path / "parallel")
-        assert len(forks) == 1
-        assert parallel == self.serial(long_pair, tmp_path, monkeypatch)
+        assert _report(tmp_path) == EXIT_OK
+        assert len(forks) == 1 and _pinned(tmp_path)
 
     @pytest.mark.parametrize("command", [["evolve"], ["report", "--no-logistic"]])
-    def test_no_fit_and_no_plot_stays_in_one_process(self, long_pair, tmp_path, forks, command):
-        argv = [*command, "--host", long_pair[0], "--sub", long_pair[1]]
+    def test_no_fit_and_no_plot_stays_in_one_process(self, tmp_path, forks, command):
+        argv = [*command, "--host", SYNTH[0], "--sub", SYNTH[1]]
         assert main([*argv, "--out", str(tmp_path / "r.json")]) == EXIT_OK
         assert forks == []
 
-    def test_a_report_without_plots_forks_once(self, long_pair, tmp_path, monkeypatch, forks):
-        argv = ["report", "--host", long_pair[0], "--sub", long_pair[1], "--out"]
-        texts = []
-        for name in ("parallel.json", "serial.json"):
-            if name == "serial.json":
-                monkeypatch.delattr(os, "fork")
-            assert main([*argv, str(tmp_path / name)]) == EXIT_OK
-            texts.append(re.sub(r'"timestamp": "[^"]*"', "", (tmp_path / name).read_text()))
-        assert len(forks) == 1
-        assert texts[0] == texts[1]
-
-    def test_a_long_falling_sub_is_the_serial_fitting_error(
-        self, long_pair, tmp_path, monkeypatch, capsys, forks
-    ):
-        ts = [line.split(",")[0] for line in Path(long_pair[0]).read_text().split()[1:]]
-        falling = write_csv(
-            tmp_path / "falling.csv", [f"{t},{2000 - i}" for i, t in enumerate(ts)]
-        )
-        pair = (long_pair[0], falling)
-        code = _report_and_plots(pair, tmp_path / "parallel")[0]
-        err = capsys.readouterr().err
-        assert (code, len(forks)) == (EXIT_FITTING, 1)
-        assert err.startswith("NotSShaped: ")
-        assert self.serial(pair, tmp_path, monkeypatch)[0] == EXIT_FITTING
-        assert capsys.readouterr().err == err
-        assert not (tmp_path / "parallel" / "p").exists()
-
-    def test_an_interrupt_in_the_parent_kills_the_child(
-        self, long_pair, tmp_path, monkeypatch, forks
-    ):
+    def test_an_interrupt_in_the_parent_kills_the_child(self, tmp_path, monkeypatch, forks):
         parent = os.getpid()
         fit = techevo.report.fit_logistic
 
@@ -951,13 +943,8 @@ class TestTwoProcesses:
 
         monkeypatch.setattr(techevo.report, "fit_logistic", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            _report_and_plots(long_pair, tmp_path)
+            _report(tmp_path)
         assert len(forks) == 1
-
-    def serial_simulate(self, d, monkeypatch, capsys, *options):
-        with monkeypatch.context() as m:
-            m.delattr(os, "fork")
-            return _simulated(d, monkeypatch, capsys, *options)
 
     @pytest.mark.parametrize("how", ["raises", "dies", "dies writing"])
     def test_a_simulate_child_that_fails_gives_the_same_files(
@@ -981,63 +968,16 @@ class TestTwoProcesses:
 
         monkeypatch.setattr(techevo.cli, "generate_series", failing_make)
         monkeypatch.setattr(techevo.cli, "_write_text", failing_write)
-        parallel = _simulated(tmp_path / "parallel", monkeypatch, capsys, *NOISY)
-        assert len(forks) == 1
-        assert parallel[0] == EXIT_OK
-        assert parallel == self.serial_simulate(tmp_path / "serial", monkeypatch, capsys, *NOISY)
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", "--n-points", "10000", "--noise-sigma", "0.05", "--seed", "1"]
+        assert main([*argv, "--out-host", "h.csv", "--out-sub", "s.csv"]) == EXIT_OK
+        assert capsys.readouterr() == ("wrote h.csv and s.csv (n=10000, seed=1)\n", "")
+        assert sorted(os.listdir(tmp_path)) == ["h.csv", "s.csv"]
+        files = (tmp_path / "h.csv", tmp_path / "s.csv")
+        digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in files)
+        assert (len(forks), digests) == (1, SIMULATE_DIGESTS[1])
 
-    @pytest.mark.parametrize(
-        "options, message",
-        [
-            # Only the sub's values leave the floats, so only the child fails.
-            (
-                ["--sub-params", "3,0.2,1e308", "--noise-sigma", "0.5"],
-                "ConfigError: generated series 'synthetic-sub': non-finite point (",
-            ),
-            # Both fail: a host value underflows to 0 and a sub noise factor
-            # overflows.  The host's refusal comes first.
-            (
-                ["--noise-sigma", "200", "--seed", "19"],
-                "ConfigError: generated series 'synthetic-host': value 0.0 at "
-                "t=3.281640820410205 is not positive\n",
-            ),
-        ],
-        ids=["sub", "host-and-sub"],
-    )
-    def test_a_failed_simulate_is_the_serial_error(
-        self, tmp_path, monkeypatch, capsys, forks, options, message
-    ):
-        parallel = _simulated(tmp_path / "parallel", monkeypatch, capsys, *options)
-        assert len(forks) == 1
-        code, (out, err), files, paths = parallel
-        assert (code, out, files, paths) == (EXIT_CONFIG, "", {}, [])
-        assert err.startswith(message) and err.count("\n") == 1
-        assert parallel == self.serial_simulate(tmp_path / "serial", monkeypatch, capsys, *options)
-
-    @pytest.mark.parametrize("command", ["simulate", "evolve", "report"])
-    def test_every_command_writes_the_same_bytes_with_and_without_a_worker(
-        self, long_pair, tmp_path, monkeypatch, capsys, forks, command
-    ):
-        if command == "simulate":
-            argv = ["simulate", "--n-points", "2000", *NOISY, "--out-host", "h", "--out-sub", "s"]
-        else:
-            argv = [command, "--host", long_pair[0], "--sub", long_pair[1], "--out", "r.json"]
-            argv += ["--plot", "p"] if command == "report" else []
-        runs = []
-        for pays in (True, False):
-            monkeypatch.setattr(techevo._workers, "fork_pays", lambda points: pays)
-            d = tmp_path / str(pays)
-            d.mkdir()
-            monkeypatch.chdir(d)
-            assert main(argv) == EXIT_OK
-            files = _tree(d)
-            if "r.json" in files:
-                files["r.json"] = re.sub(rb'"timestamp": "[^"]*"', b"", files["r.json"])
-            runs.append((capsys.readouterr(), files))
-        assert len(forks) == {"simulate": 1, "evolve": 0, "report": 1}[command]
-        assert runs[0] == runs[1]
-
-    def test_the_sub_result_comes_from_the_child(self, long_pair, tmp_path, monkeypatch, forks):
+    def test_the_sub_result_comes_from_the_child(self, tmp_path, monkeypatch, forks):
         parent = os.getpid()
         fit, fitted_here = techevo.report.fit_logistic, []
 
@@ -1047,8 +987,8 @@ class TestTwoProcesses:
             return fit(series, factor)
 
         monkeypatch.setattr(techevo.report, "fit_logistic", recording)
-        assert _report_and_plots(long_pair, tmp_path)[0] == EXIT_OK
-        assert (len(forks), fitted_here) == (1, ["host"])
+        assert _report(tmp_path) == EXIT_OK
+        assert (len(forks), fitted_here) == (1, ["synth_host"])
 
     def test_a_result_marshal_refuses_is_made_again_here(self, forks):
         def params(label, b):
@@ -1090,20 +1030,6 @@ class TestTwoProcesses:
         assert techevo._workers.fork_pays(techevo._workers.FORK_MIN_POINTS - 1) is False
 
 
-#: simulate's noise, so that its two series differ in their draws.
-NOISY = ("--noise-sigma", "0.05")
-
-
-def _simulated(d, monkeypatch, capsys, *options):
-    """Run a 2 000-point simulate in a new directory ``d``; returns (exit
-    code, what it printed, every file it left with its bytes, every path)."""
-    d.mkdir()
-    with monkeypatch.context() as m:
-        m.chdir(d)
-        argv = ["simulate", "--n-points", "2000", *options]
-        code = main([*argv, "--out-host", "h.csv", "--out-sub", "s.csv"])
-    return code, tuple(capsys.readouterr()), _tree(d), _paths(d)
-
 
 def _paths(root):
     """Every path under ``root``: files, links and directories."""
@@ -1142,28 +1068,25 @@ def _fails_as(error, argv, capsys):
         assert capsys.readouterr().err == "OSError: [Errno 28] No space left on device\n"
 
 
-@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 class TestOneCommitPoint:
     """Outputs are written to temporary files beside them and renamed into
     place only after the last write has succeeded, so a command that fails
     leaves every file as it was, on the serial and the forked path alike."""
 
     @pytest.mark.parametrize("error", _WRITE_ERRORS)
-    @pytest.mark.parametrize("path", ["forked", "serial"])
+    @pytest.mark.parametrize("process_path", ["forked", "serial"], indirect=True)
     @pytest.mark.parametrize("name", ["r.json", *PLOT_FILES])
     def test_a_failed_report_write_leaves_nothing(
-        self, long_pair, tmp_path, monkeypatch, capsys, forks, name, path, error
+        self, tmp_path, monkeypatch, capsys, process_path, name, error
     ):
-        if path == "serial":
-            monkeypatch.delattr(os, "fork")
         (tmp_path / "r.json").write_text("an earlier report\n")
         before = _tree(tmp_path), _paths(tmp_path)
         _fail_writing(monkeypatch, name, error)
-        inputs = ["--host", long_pair[0], "--sub", long_pair[1]]
+        inputs = ["--host", SYNTH[0], "--sub", SYNTH[1]]
         outputs = ["--out", str(tmp_path / "r.json"), "--plot", str(tmp_path / "d" / "p")]
         _fails_as(error, ["report", *inputs, *outputs], capsys)
         assert (_tree(tmp_path), _paths(tmp_path)) == before
-        assert len(forks) == (1 if path == "forked" else 0)
+        process_path.assert_forks(1)
 
     @pytest.mark.parametrize("error", _WRITE_ERRORS)
     @pytest.mark.parametrize("name", ["h.csv", "s.csv"])
@@ -1178,35 +1101,31 @@ class TestOneCommitPoint:
         assert (_tree(tmp_path), _paths(tmp_path)) == before
 
     @pytest.mark.parametrize("error", _WRITE_ERRORS)
-    @pytest.mark.parametrize("path", ["forked", "serial"])
+    @pytest.mark.parametrize("process_path", ["forked", "serial"], indirect=True)
     @pytest.mark.parametrize("name", ["h.csv", "s.csv"])
     def test_a_failed_long_simulate_write_leaves_nothing(
-        self, tmp_path, monkeypatch, capsys, forks, name, path, error
+        self, tmp_path, monkeypatch, capsys, process_path, name, error
     ):
-        if path == "serial":
-            monkeypatch.delattr(os, "fork")
         (tmp_path / "s.csv").write_text("an earlier series\n")
         before = _tree(tmp_path), _paths(tmp_path)
         _fail_writing(monkeypatch, name, error)
         argv = ["simulate", "--n-points", "2000", "--out-host", str(tmp_path / "h.csv")]
         _fails_as(error, [*argv, "--out-sub", str(tmp_path / "s.csv")], capsys)
         assert (_tree(tmp_path), _paths(tmp_path)) == before
-        assert len(forks) == (1 if path == "forked" else 0)
+        process_path.assert_forks(1)
 
-    @pytest.mark.parametrize("path", ["forked", "serial"])
+    @pytest.mark.parametrize("process_path", ["forked", "serial"], indirect=True)
     def test_a_failed_host_write_comes_before_a_sub_that_overflows(
-        self, tmp_path, monkeypatch, capsys, forks, path
+        self, tmp_path, monkeypatch, capsys, process_path
     ):
         # The host is written before the sub is made, so its write error
         # is reported, not the sub's ConfigError.
-        if path == "serial":
-            monkeypatch.delattr(os, "fork")
         _fail_writing(monkeypatch, "h.csv", "ENOSPC")
         argv = ["simulate", "--n-points", "2000", "--sub-params", "3,0.2,1e308"]
         argv += ["--noise-sigma", "0.5", "--out-host", str(tmp_path / "h.csv")]
         _fails_as("ENOSPC", [*argv, "--out-sub", str(tmp_path / "s.csv")], capsys)
         assert (_tree(tmp_path), _paths(tmp_path)) == ({}, [])
-        assert len(forks) == (1 if path == "forked" else 0)
+        process_path.assert_forks(1)
 
     def test_an_output_that_is_a_fifo_is_written_in_place(self, tmp_path):
         if not hasattr(os, "mkfifo"):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 from datetime import datetime, timezone
 from pathlib import Path
@@ -266,24 +267,33 @@ class TestEmitPlotData:
             assert "nan" not in svg and "inf" not in svg
             assert svg.count("<circle") == 3
 
+    def test_values_near_the_largest_float_are_drawn_as_smaller_ones(self):
+        # 1.05 times this maximum overflows; scaling by a power of two is
+        # exact, so the points lie where those of the scaled values do.
+        huge = (1e308, 1.5e308, 1.75e308)
+        svgs = [
+            emit_plot_data(FmtSeries("v", (0.0, 1.0, 2.0), [math.ldexp(v, -e) for v in huge])).svg
+            for e in (0, 1000)
+        ]
+        assert svgs[0] == svgs[1]
+        assert len(set(re.findall(r'cy="([^"]*)"', svgs[0]))) == 3
+
+
+#: The four plot files of ``report --plot``, pinned across commits: one
+#: SHA-256 over host.csv, host.svg, sub.csv and sub.svg, in that order, for
+#: the synth fixtures and for a seeded n = 10 000 ``simulate`` pair, each
+#: with (False) and without (True) the S-curve fits.
+PLOT_DIGESTS = {
+    ("synth", False): "416e6a7f7e00533eea159acd81deb61293539b55a48e04eeabbcf38a1c024e83",
+    ("synth", True): "5e46a19204abc36fe7cce8cf2eddb40b963e5ea6ec89a2148a444986d6490acf",
+    ("simulate", False): "8f14b3e174a4b6fa477633d8e82f1c7f105604c06e3edd3d03324b680664dd25",
+    ("simulate", True): "2b8c20cc879930c08b6c82734cf9239ae0a2e7acba2e7ee03667b07334c34d63",
+}
+
 
 class TestPlotDigests:
-    """The four plot files of ``report --plot``, pinned across commits.
-
-    One SHA-256 over host.csv, host.svg, sub.csv and sub.svg, in that order,
-    for the synth fixtures and for a seeded n = 10 000 ``simulate`` pair,
-    each with and without the S-curve fits.
-    """
-
-    PLOT_DIGESTS = {
-        ("synth", False): "416e6a7f7e00533eea159acd81deb61293539b55a48e04eeabbcf38a1c024e83",
-        ("synth", True): "5e46a19204abc36fe7cce8cf2eddb40b963e5ea6ec89a2148a444986d6490acf",
-        ("simulate", False): "8f14b3e174a4b6fa477633d8e82f1c7f105604c06e3edd3d03324b680664dd25",
-        ("simulate", True): "2b8c20cc879930c08b6c82734cf9239ae0a2e7acba2e7ee03667b07334c34d63",
-    }
-
     @pytest.mark.parametrize("pair, no_logistic", sorted(PLOT_DIGESTS))
-    def test_plot_digests_pinned(self, pair, no_logistic, tmp_path, capsys):
+    def test_plot_digests_pinned(self, pair, no_logistic, tmp_path, capsys, process_path):
         host, sub = str(SYNTH_HOST), str(SYNTH_SUB)
         if pair == "simulate":
             host, sub = str(tmp_path / "h.csv"), str(tmp_path / "s.csv")
@@ -296,4 +306,5 @@ class TestPlotDigests:
         digest = hashlib.sha256()
         for name in ("host.csv", "host.svg", "sub.csv", "sub.svg"):
             digest.update((plots / name).read_bytes())
-        assert digest.hexdigest() == self.PLOT_DIGESTS[pair, no_logistic]
+        assert digest.hexdigest() == PLOT_DIGESTS[pair, no_logistic]
+        process_path.assert_forks(2 if pair == "simulate" else 1)

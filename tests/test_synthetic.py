@@ -66,6 +66,21 @@ class TestSplitMix64:
         assert abs(var - 1.0) < 0.08
 
 
+#: SHA-256 of the host and sub CSVs ``simulate --n-points 10000
+#: --noise-sigma 0.05 --seed SEED`` writes, by seed, recorded from the
+#: scalar stream.
+SIMULATE_DIGESTS = {
+    1: (
+        "82d4611cb9f31b3447e2f5a190333dd8aa4072c7f5b0055bb04b9aec34b4a1c7",
+        "557ace940d618d64c9e74eba1cd042f4505b88f79eb66949292df7336429c670",
+    ),
+    223: (
+        "f69e50adcd7c9d0de12d34f84bbb6c88869277ac9da193eb2670110394b40584",
+        "3805a16517d227535f4b97ec4aeb01f88ce55a0f4ee96f79105c23201b19ba4f",
+    ),
+}
+
+
 class TestBatchStream:
     """``SplitMix64.normals`` against the scalar stream it must reproduce."""
 
@@ -93,27 +108,15 @@ class TestBatchStream:
         t, v = pair.host.points[2477]
         assert v == logistic_value(HOST, t) * math.exp(0.05 * 5.0)
 
-    # SHA-256 of the host and sub CSVs ``simulate --n-points 10000
-    # --noise-sigma 0.05`` writes, recorded from the scalar stream.
-    SIMULATE_DIGESTS = {
-        1: (
-            "82d4611cb9f31b3447e2f5a190333dd8aa4072c7f5b0055bb04b9aec34b4a1c7",
-            "557ace940d618d64c9e74eba1cd042f4505b88f79eb66949292df7336429c670",
-        ),
-        223: (
-            "f69e50adcd7c9d0de12d34f84bbb6c88869277ac9da193eb2670110394b40584",
-            "3805a16517d227535f4b97ec4aeb01f88ce55a0f4ee96f79105c23201b19ba4f",
-        ),
-    }
-
     @pytest.mark.parametrize("seed", sorted(SIMULATE_DIGESTS))
-    def test_simulate_digests_pinned(self, seed, tmp_path, capsys):
+    def test_simulate_digests_pinned(self, seed, tmp_path, capsys, process_path):
         host, sub = tmp_path / "h.csv", tmp_path / "s.csv"
         args = ["simulate", "--n-points", "10000", "--noise-sigma", "0.05"]
         args += ["--seed", str(seed), "--out-host", str(host), "--out-sub", str(sub)]
         assert main(args) == EXIT_OK
         digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (host, sub))
-        assert digests == self.SIMULATE_DIGESTS[seed]
+        assert digests == SIMULATE_DIGESTS[seed]
+        process_path.assert_forks(1)
 
 
 class TestJumpAhead:
