@@ -12,6 +12,7 @@ call nothing in the package; ``FmtSeries`` and ``align`` only hold results.
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
 import warnings
@@ -162,3 +163,18 @@ def process_path(request, monkeypatch):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert sorted(os.listdir("/dev/fd")) == fds
+
+
+def pytest_collection_modifyitems(config, items):
+    """Of the classes that tests/test_forked_path.py collects again on the
+    forked path, drop the tests that take no ``process_path``: they start
+    no command, so the path is nothing to them."""
+    dropped = [
+        item
+        for item in items
+        if item.module.__name__ == "test_forked_path"
+        and "process_path" not in inspect.signature(item.function).parameters
+    ]
+    if dropped:
+        config.hook.pytest_deselected(items=dropped)
+        items[:] = [item for item in items if item not in dropped]

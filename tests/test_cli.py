@@ -111,17 +111,9 @@ class TestHappyPaths:
         assert capsys.readouterr().out.splitlines()[0] == "series: lamps (n=26)"
 
     def test_simulate_then_report(self, tmp_path, capsys, process_path):
-        host = str(tmp_path / "h.csv")
-        sub = str(tmp_path / "s.csv")
-        assert (
-            main(
-                [
-                    "simulate", "--seed", "9", "--noise-sigma", "0.02",
-                    "--out-host", host, "--out-sub", sub,
-                ]
-            )
-            == EXIT_OK
-        )
+        host, sub = str(tmp_path / "h.csv"), str(tmp_path / "s.csv")
+        argv = ["simulate", "--seed", "9", "--noise-sigma", "0.02", "--out-host", host]
+        assert main([*argv, "--out-sub", sub]) == EXIT_OK
         capsys.readouterr()
         assert main(["report", "--host", host, "--sub", sub]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
@@ -131,13 +123,8 @@ class TestHappyPaths:
     def test_report_out_file_and_plots(self, tmp_path, capsys, process_path):
         out = tmp_path / "report.json"
         plots = tmp_path / "plots"
-        code = main(
-            [
-                "report", "--host", SYNTH[0], "--sub", SYNTH[1],
-                "--out", str(out), "--plot", str(plots),
-            ]
-        )
-        assert code == EXIT_OK
+        argv = ["report", "--host", SYNTH[0], "--sub", SYNTH[1], "--out", str(out)]
+        assert main([*argv, "--plot", str(plots)]) == EXIT_OK
         assert json.loads(out.read_text())["schema_version"] == 3
         names = sorted(p.name for p in plots.iterdir())
         assert names == ["host.csv", "host.svg", "sub.csv", "sub.svg"]
@@ -197,11 +184,7 @@ class TestHappyPaths:
         out = tmp_path / "r.json"
         args = ["report", "--no-logistic", "--host", same, "--sub", same, "--out", str(out)]
         assert main(args) == EXIT_OK
-
-        def refuse(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
-
-        report = json.loads(out.read_text(encoding="utf-8"), parse_constant=refuse)
+        report = json.loads(out.read_text(encoding="utf-8"), parse_constant=refuse_constant)
         ev = report["evolution"]
         assert (ev["t_b"], ev["f_stat"]) == ("inf", "inf")
         assert techevo.determinism_digest(report) == report["digest"]
@@ -237,13 +220,9 @@ class TestHappyPaths:
 
     def test_plot_determinism(self, tmp_path, process_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
+        argv = ["report", "--host", SYNTH[0], "--sub", SYNTH[1], "--out", str(tmp_path / "x.json")]
         for d in (a_dir, b_dir):
-            main(
-                [
-                    "report", "--host", SYNTH[0], "--sub", SYNTH[1],
-                    "--out", str(tmp_path / "x.json"), "--plot", str(d),
-                ]
-            )
+            main([*argv, "--plot", str(d)])
         for name in ("host.csv", "host.svg", "sub.csv", "sub.svg"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
         process_path.assert_forks(2)
@@ -259,8 +238,8 @@ class TestHappyPaths:
         process_path.assert_forks(1)
 
     def test_report_plot_reads_each_input_once(self, tmp_path, monkeypatch):
-        # Counts this process's reads only: takes no process_path, and these
-        # short inputs keep the command in one process.
+        # Counts the reads of this process, so it takes no process_path and
+        # runs on one path only: these short inputs keep the command here.
         reads = []
         read_text = techevo.cli._read_text
 
@@ -337,14 +316,16 @@ class TestExitCodes:
     def test_fitting_error(self, tmp_path, capsys, process_path):
         down = write_csv(tmp_path / "down.csv", ["0,9", "1,5", "2,2", "3,1"])
         up = write_csv(tmp_path / "up.csv", ["0,1", "1,2", "2,4", "3,8"])
-        code = main(["report", "--host", down, "--sub", up])
-        assert code == EXIT_FITTING
-        assert "NotSShaped" in capsys.readouterr().err
+        falls = (
+            "NotSShaped: series 'down': the series does not rise: "
+            "its log values trend flat or down\n"
+        )
+        assert main(["report", "--host", down, "--sub", up]) == EXIT_FITTING
+        assert capsys.readouterr().err == falls
         # Only the sub falls: its fit fails in the child, and again here.
         plots = tmp_path / "p"
         assert main(["report", "--host", up, "--sub", down, "--plot", str(plots)]) == EXIT_FITTING
-        err = capsys.readouterr().err
-        assert err.startswith("NotSShaped: series 'down': ") and err.count("\n") == 1
+        assert capsys.readouterr() == ("", falls)
         assert not plots.exists()
         process_path.assert_forks(2)
 
@@ -461,10 +442,16 @@ class TestExitCodes:
         "options, fault",
         [
             # Only the sub's values leave the floats.
-            (["--sub-params", "3,0.2,1e308", "--noise-sigma", "0.5"], "'synthetic-sub'"),
+            (
+                ["--sub-params", "3,0.2,1e308", "--noise-sigma", "0.5"],
+                "'synthetic-sub': non-finite point (13.266633316658329, inf)",
+            ),
             # A host value underflows to 0 and a sub noise factor overflows:
             # the host's refusal comes first.
-            (["--noise-sigma", "200", "--seed", "19"], "'synthetic-host': value 0.0"),
+            (
+                ["--noise-sigma", "200", "--seed", "19"],
+                "'synthetic-host': value 0.0 at t=3.281640820410205 is not positive",
+            ),
         ],
         ids=["sub", "host-and-sub"],
     )
@@ -474,9 +461,8 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)
         argv = ["simulate", "--n-points", "2000", *options, "--out-host", "h", "--out-sub", "s"]
         assert main(argv) == EXIT_CONFIG
-        out, err = capsys.readouterr()
-        assert (out, list(tmp_path.iterdir())) == ("", [])
-        assert err.startswith(f"ConfigError: generated series {fault}") and err.count("\n") == 1
+        assert capsys.readouterr() == ("", f"ConfigError: generated series {fault}\n")
+        assert list(tmp_path.iterdir()) == []
         process_path.assert_forks(1)
 
     def test_simulate_output_that_cannot_be_written_writes_nothing(
@@ -812,10 +798,10 @@ class TestReportDeterminism:
 
 
 @pytest.fixture
-def forks(process_path, monkeypatch):
-    """The os.fork calls made on the forked path, for the tests of the fork
-    itself, which run on that path alone."""
-    monkeypatch.setattr(techevo._workers, "fork_pays", lambda points: True)
+def forks(process_path):
+    """The os.fork calls of a test of the fork itself, which puts
+    ``process_path`` on the forked path and runs on it alone."""
+    process_path.name = "forked"
     return process_path.forks
 
 

@@ -1,7 +1,8 @@
 """The tests that pin what ``report`` and ``simulate`` write and how they
 exit, collected again here on ``process_path``'s forked path (in their own
 modules they take the serial one), so that every pin is checked on both.
-Classes come whole, so their few tests that start no command run twice.
+Classes come whole; ``conftest.py`` drops those of their tests that take
+no ``process_path``.
 """
 
 import pytest
