@@ -9,8 +9,10 @@ text), align, the host's and the sub's fit, estimate, classify, JSON plus
 digest, and plot (both series, with their fitted curves).  Each time is
 the median over REPEATS samples, a sample being the mean of as many
 back-to-back calls as take about 2 ms.  Beside the times the file
-holds counts that do not depend on the machine: SSE evaluations and
-``k_at_bound`` per fit, points, and the bytes of each output.
+holds counts that do not depend on the machine: per fit, its SSE
+evaluations, ``k_at_bound`` and its residual and derivative passes (over
+all n points and over the subsample a long series is first fitted on,
+apart); points; and the bytes of each output.
 
 Beside the layers each size has ``cli_report_s``, one whole in-process
 ``main(["report", ..., "--plot", ...])`` on the files ``simulate`` wrote,
@@ -57,7 +59,7 @@ from techevo import (
     run_pipeline,
     serialize_fmt_csv,
 )
-from techevo import cli
+from techevo import cli, logistic
 from techevo.cli import build_parser
 from techevo.synthetic import generate_series
 
@@ -73,6 +75,8 @@ LAYERS = (
     "generate", "serialize", "parse", "align", "fit_host", "fit_sub",
     "estimate", "classify", "json", "plot",
 )
+#: The fit's passes over its points, by the ``logistic`` function making them.
+PASSES = {"residual": "_residuals", "derivative": "_derivatives"}
 
 
 def _spec(n: int) -> SyntheticSpec:
@@ -118,6 +122,28 @@ def _import_s(repeats: int, work: Path) -> float:
     return statistics.median(times[1:])
 
 
+def _fit_counting_passes(series) -> tuple:
+    """``fit_logistic(series)`` and its passes: for each kind in PASSES,
+    how many ran over all the series' points and how many over a subsample."""
+    passes = {f"{kind}_passes_{over}": 0 for kind in PASSES for over in ("full", "subsample")}
+    originals = {kind: getattr(logistic, name) for kind, name in PASSES.items()}
+
+    def counting(kind):
+        def run(points, *args):
+            over = "full" if len(points) == len(series) else "subsample"
+            passes[f"{kind}_passes_{over}"] += 1
+            return originals[kind](points, *args)
+        return run
+
+    for kind, name in PASSES.items():
+        setattr(logistic, name, counting(kind))
+    try:
+        return fit_logistic(series), passes
+    finally:
+        for kind, name in PASSES.items():
+            setattr(logistic, name, originals[kind])
+
+
 def _cli(n: int, repeats: int, work: Path) -> tuple[float, dict]:
     """The time of one whole in-process ``report --plot`` at size n, and
     the ``os.fork`` calls of each command, with their files in ``work``."""
@@ -148,7 +174,7 @@ def measure(n: int, repeats: int, work: Path) -> dict:
     spec = _spec(n)
     host, sub = generate_series(spec, "host"), generate_series(spec, "sub")
     texts = serialize_fmt_csv(host), serialize_fmt_csv(sub)
-    fits = fit_logistic(host), fit_logistic(sub)
+    fits, passes = zip(_fit_counting_passes(host), _fit_counting_passes(sub))
     pair = align(host, sub)
     evolution = estimate_evolution(pair)
     # The report as ``report`` builds it; a long pair forks once here,
@@ -176,6 +202,8 @@ def measure(n: int, repeats: int, work: Path) -> dict:
         "fit_sub_sse_evals": fits[1].sse_evals,
         "fit_host_k_at_bound": int(fits[0].k_at_bound),
         "fit_sub_k_at_bound": int(fits[1].k_at_bound),
+        **{f"fit_{role}_{key}": count
+           for role, counted in zip(("host", "sub"), passes) for key, count in counted.items()},
         "serialize_bytes": sum(len(t.encode()) for t in texts),
         "json_bytes": len(report_to_json(report).encode()),
         "plot_bytes": sum(len(p.csv.encode()) + len(p.svg.encode()) for p in plots),

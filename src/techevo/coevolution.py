@@ -23,7 +23,7 @@ import math
 
 from ._record import Record
 from .series import MIN_POINTS, AlignedPair
-from .stats import _LineFit, _r_squared, _t_ratio, f_sf, t_two_sided_p
+from .stats import _line_fit, _r_squared, _t_ratio, f_sf, t_two_sided_p
 
 
 class EvolutionFit(Record):
@@ -88,16 +88,15 @@ class EvolutionFit(Record):
 def estimate_evolution(pair: AlignedPair) -> EvolutionFit:
     """Estimate the evolutionary coefficient from an aligned pair.
 
-    Runs OLS of ln(sub) on ln(host) on the ``_LineFit`` kernel and hands
-    its summary numbers to ``EvolutionFit``; exactly rounded sums make it
-    bit-deterministic.  ``FmtSeries`` makes every log defined and
-    ``AlignedPair`` guarantees n >= ``MIN_POINTS``.
+    Runs OLS of ln(sub) on ln(host) on ``_line_fit``, the package's one
+    line kernel, and hands its summary numbers to ``EvolutionFit``; exactly
+    rounded sums make it bit-deterministic.  ``FmtSeries`` makes every log
+    defined and ``AlignedPair`` guarantees n >= ``MIN_POINTS``.
     """
     x = list(map(math.log, pair.host_values))
     y = list(map(math.log, pair.sub_values))
-    line = _LineFit(x)
-    sse, b, log_a, sxy, ybar = line.fit(y)
-    n = line.n
+    sse, b, log_a, sxy, xbar, sxx = _line_fit(x, y)
+    n = len(x)
     df = n - 2
     see = math.sqrt(sse / df)
     # ANOVA F, not t^2, so F = t^2 stays a real check; the regression sum of
@@ -109,11 +108,11 @@ def estimate_evolution(pair: AlignedPair) -> EvolutionFit:
         f_stat = math.inf if ssr > 0.0 else 0.0
     return EvolutionFit(
         b=b,
-        se_b=see / math.sqrt(line.sxx),
+        se_b=see / math.sqrt(sxx),
         n=n,
         log_a=log_a,
-        se_log_a=see * math.sqrt(1.0 / n + line.xbar * line.xbar / line.sxx),
-        r2=_r_squared(y, sse, ybar),
+        se_log_a=see * math.sqrt(1.0 / n + xbar * xbar / sxx),
+        r2=_r_squared(y, sse),
         f_stat=f_stat,
         see=see,
     )

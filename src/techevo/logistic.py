@@ -21,7 +21,7 @@ from operator import mul
 from ._record import Record
 from .errors import ConfigError, DegenerateX, FittingError, NotSShaped
 from .series import FmtSeries
-from .stats import _LineFit, _r_squared
+from .stats import _centred, _line_fit, _r_squared
 
 
 class LogisticParams(Record):
@@ -213,12 +213,12 @@ def _start(ys, taus, ts, scale_exp, factor):
             math.ldexp((y1 - y0) / (t1 - t0), scale_exp)
             for y0, y1, t0, t1 in zip(ys, ys[1:], ts, ts[1:])
         ]
-        _, slope, beta, *_ = _LineFit(us).fit(zs)
+        _, slope, beta, *_ = _line_fit(us, zs)
         kappa = -beta / slope
     except (ArithmeticError, ValueError, DegenerateX):  # overflows, inf - inf
         slope = beta = kappa = math.nan
     if not (slope < 0.0 < beta < _X_MAX and kappa < math.inf):
-        beta, kappa = _LineFit(taus).fit(ys)[1], 2.0
+        beta, kappa = _line_fit(taus, ys)[1], 2.0
         if not beta > 0.0:
             raise NotSShaped("the series does not rise: its log values trend flat or down")
     kappa = min(max(kappa, 1.5), factor)
@@ -267,15 +267,15 @@ def fit_logistic(
             "(arithmetic overflow)"
         )
     try:
-        line = _LineFit(ts)
+        t_mean, dx, _ = _centred(ts)
     except (OverflowError, DegenerateX) as exc:
         raise FittingError(
             f"series {series.name!r}: times too far apart or too close together "
             "to fit (their centred sum of squares overflows or underflows)"
         ) from exc
-    t_mean, scale_exp = line.xbar, math.frexp(max(map(abs, line.dx)))[1]
-    taus = [math.ldexp(d, -scale_exp) for d in line.dx]
-    del line  # its centred times would stay alive through the fit
+    scale_exp = math.frexp(max(map(abs, dx)))[1]
+    taus = [math.ldexp(d, -scale_exp) for d in dx]
+    del dx  # the centred times would stay alive through the fit
     ys = [math.log(v) for v in values]
     c_max = math.log(k_hi)
     stride = max(1, len(ys) // _SUBSAMPLE_POINTS)

@@ -20,7 +20,6 @@ at a glance.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import time
@@ -138,8 +137,6 @@ def _quantize(obj):
     Quantization is idempotent: re-serializing a parsed report reproduces
     the same bytes.
     """
-    if isinstance(obj, bool):
-        return obj
     if isinstance(obj, float):
         return float(format(obj, f".{FLOAT_DIGITS}g")) if math.isfinite(obj) else repr(obj)
     if isinstance(obj, dict):
@@ -150,6 +147,8 @@ def _quantize(obj):
 def _digest_quantized(d: dict) -> str:
     """``determinism_digest`` of a report that ``_quantize`` has already
     returned; ``d`` is left as it is."""
+    import hashlib  # here, so commands that make no digest skip OpenSSL
+
     d = dict(d)
     d.pop("digest", None)
     prov = dict(d.get("provenance") or {})

@@ -46,7 +46,7 @@ class FmtSeries(Record):
     __slots__ = ("name", "ts", "values")
 
     def __init__(self, name: str, ts: Iterable[float], values: Iterable[float]) -> None:
-        ts, values = list(map(float, ts)), list(map(float, values))
+        ts, values = tuple(map(float, ts)), tuple(map(float, values))
         if len(ts) != len(values):
             raise ValueError(f"series {name!r}: {len(ts)} times but {len(values)} values")
         # Accept at once times that strictly increase from and to finite
@@ -60,7 +60,7 @@ class FmtSeries(Record):
             and math.isfinite(sum(values))
             and min(values) > 0.0
         ):
-            super().__init__(name, tuple(ts), tuple(values))
+            super().__init__(name, ts, values)
             return
         order = sorted(range(len(ts)), key=ts.__getitem__)
         ts = tuple(map(ts.__getitem__, order))

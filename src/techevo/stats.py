@@ -2,11 +2,11 @@
 Student-t and F upper-tail probabilities via the regularized incomplete
 beta function.
 
-``_LineFit`` is the package's one least-squares line kernel.  It does the
-x-side work once: ``coevolution.estimate_evolution``, the log-log
-regression behind the evolutionary coefficient, builds its inference
-block on its sums, and the S-curve fit (``logistic.fit_logistic``) uses it
-for its closed-form start and its centred times.
+``_line_fit`` is the package's one least-squares line kernel:
+``coevolution.estimate_evolution``, the log-log regression behind the
+evolutionary coefficient, builds its inference block on its sums, and the
+S-curve fit (``logistic.fit_logistic``) takes its closed-form start from
+it and its centred times from ``_centred``.
 
 Everything here is scalar stdlib arithmetic with exactly-rounded sums
 (``math.fsum``) and squares taken as products (``x * x``, one IEEE-754
@@ -37,46 +37,38 @@ def _t_ratio(estimate: float, se: float) -> float:
     return math.copysign(math.inf, estimate)
 
 
-class _LineFit:
-    """Least-squares lines y = intercept + slope * x on one fixed x.
-
-    The x-side work (mean, centred values, sum of squares) is done once, at
-    construction; each ``fit`` then costs three exactly-rounded sums over
-    the y values.
-    """
-
-    __slots__ = ("x", "n", "xbar", "dx", "sxx")
-
-    def __init__(self, x: Sequence[float]) -> None:
-        self.x = x
-        self.n = len(x)
-        self.xbar = math.fsum(x) / self.n
-        self.dx = [xi - self.xbar for xi in x]
-        self.sxx = math.fsum(map(mul, self.dx, self.dx))
-        if self.sxx == math.inf:
-            raise OverflowError("x spread too wide: its sum of squares overflows")
-        if self.sxx == 0.0:
-            raise DegenerateX("x has zero variance; slope is unidentified")
-
-    def fit(self, y: Sequence[float]) -> tuple[float, float, float, float, float]:
-        """(sse, slope, intercept, sxy, ybar) of the least-squares line
-        through y; ybar is y's mean."""
-        fsum = math.fsum
-        ybar = fsum(y) / self.n
-        sxy = fsum(d * (yi - ybar) for d, yi in zip(self.dx, y))
-        slope = sxy / self.sxx
-        intercept = ybar - slope * self.xbar
-        sse = fsum((r := yi - (intercept + slope * xi)) * r for xi, yi in zip(self.x, y))
-        return sse, slope, intercept, sxy, ybar
+def _centred(x: Sequence[float]) -> tuple[float, list[float], float]:
+    """(mean, centred values, centred sum of squares) of x; a slope on x
+    is undefined if the sum of squares overflows (``OverflowError``) or is
+    zero (``DegenerateX``)."""
+    xbar = math.fsum(x) / len(x)
+    dx = [xi - xbar for xi in x]
+    sxx = math.fsum(map(mul, dx, dx))
+    if sxx == math.inf:
+        raise OverflowError("x spread too wide: its sum of squares overflows")
+    if sxx == 0.0:
+        raise DegenerateX("x has zero variance; slope is unidentified")
+    return xbar, dx, sxx
 
 
-def _r_squared(y: Sequence[float], sse: float, ybar: float | None = None) -> float:
+def _line_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, ...]:
+    """(sse, slope, intercept, sxy, xbar, sxx) of the least-squares line
+    y = intercept + slope * x, with xbar and sxx from ``_centred(x)``."""
+    fsum = math.fsum
+    xbar, dx, sxx = _centred(x)
+    ybar = fsum(y) / len(y)
+    sxy = fsum(d * (yi - ybar) for d, yi in zip(dx, y))
+    slope = sxy / sxx
+    intercept = ybar - slope * xbar
+    sse = fsum((r := yi - (intercept + slope * xi)) * r for xi, yi in zip(x, y))
+    return sse, slope, intercept, sxy, xbar, sxx
+
+
+def _r_squared(y: Sequence[float], sse: float) -> float:
     """Coefficient of determination of a fit to y with SSE ``sse``, clamped
     to [0, 1]; a constant y explains nothing, so its r2 is 0 (the 0/0
-    convention of ``_t_ratio``).  ``ybar`` is y's mean, taken here if not
-    given."""
-    if ybar is None:
-        ybar = math.fsum(y) / len(y)
+    convention of ``_t_ratio``)."""
+    ybar = math.fsum(y) / len(y)
     sst = math.fsum((d := yi - ybar) * d for yi in y)
     if sst > 0.0:
         return min(1.0, max(0.0, 1.0 - sse / sst))

@@ -16,11 +16,11 @@ from techevo import (
     t_two_sided_p,
 )
 from techevo.errors import DegenerateX
-from techevo.stats import _incomplete_beta, _LineFit
+from techevo.stats import _centred, _incomplete_beta, _line_fit
 
 
-class TestOlsSimple:
-    """Simple (one-regressor) OLS: the ``_LineFit`` kernel, and the inference
+class TestLineFit:
+    """Simple (one-regressor) OLS: the ``_line_fit`` kernel, and the inference
     block ``estimate_evolution`` builds on it for ln sub on ln host."""
 
     def test_collinear(self):
@@ -31,7 +31,7 @@ class TestOlsSimple:
 
     def test_degenerate_x(self):
         with pytest.raises(DegenerateX):
-            _LineFit([2.0, 2.0, 2.0, 2.0])
+            _centred([2.0, 2.0, 2.0, 2.0])
 
     def test_matches_normal_equations_n12(self):
         rng = SplitMix64(12)
@@ -61,7 +61,7 @@ class TestOlsSimple:
         x = [p[0] for p in points]
         y = [p[1] for p in points]
         assume(max(x) - min(x) > 1e-3)
-        _, slope, intercept, *_ = _LineFit(x).fit(y)
+        _, slope, intercept, *_ = _line_fit(x, y)
         residuals = [yi - (intercept + slope * xi) for xi, yi in zip(x, y)]
         scale = len(x) * max(1.0, max(abs(v) for v in y), max(abs(v) for v in x))
         assert abs(math.fsum(residuals)) < 1e-9 * scale
@@ -76,7 +76,7 @@ class TestOlsSimple:
         pair = log_pair(x, y)
         c = estimate_evolution(pair)
         lx, ly = pair_logs(pair)
-        sse = _LineFit(lx).fit(ly)[0]
+        sse = _line_fit(lx, ly)[0]
         n = c.n
         assert c.r2_adj == pytest.approx(1 - (1 - c.r2) * (n - 1) / (n - 2), rel=1e-12)
         assert rel_err(c.see**2 * (n - 2), sse) < 1e-10
@@ -96,7 +96,7 @@ class TestOlsSimple:
         # correctly rounded; x * x is one IEEE-754 product everywhere.
         x = [0.0, 1.0, 2.0, 3.0]
         y = [0.6885526833201705, 0.09112051263863241, 0.5639483797158562, 0.6161450881383045]
-        sse, slope, intercept, *_ = _LineFit(x).fit(y)
+        sse, slope, intercept, *_ = _line_fit(x, y)
         residuals = [yi - (intercept + slope * xi) for xi, yi in zip(x, y)]
         # The data tell the two squarings apart, so the check below bites.
         assert any(r ** 2 != r * r for r in residuals)
